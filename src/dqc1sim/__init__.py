@@ -69,7 +69,6 @@ from .errors import (
 from .gadgets import (
     CompiledReduction,
     MbqcPattern,
-    TraceCircuitSpec,
     build_trace_circuit,
     build_W,
     build_W_prime,

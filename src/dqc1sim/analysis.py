@@ -14,13 +14,16 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
-from .circuits import Circuit, Dqc1Circuit, circuit_matrix
+import numpy as np
+
+from .bits import bitstring
+from .circuits import Circuit, Dqc1Circuit, _loads, circuit_matrix
 from .config import DEFAULT_LIMITS, DEFAULT_SEED, ZERO_PROB_TOL, Limits
 from .distributions import OutcomeDistribution
 from .engine import PostselectionSpec, _as_assignments, conditional_distribution, sample
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, ResourceError
 from .gadgets import build_trace_circuit
 
 # Relative slack for comparisons that are exact in theory but float in practice.
@@ -99,24 +102,23 @@ def frobenius_block_norm(u: Circuit, k: int, limits: Limits = DEFAULT_LIMITS) ->
 # ---------------------------------------------------------------------------
 # multiplicative-error calculus
 
-def _pair_c(p: Mapping[str, float], q: Mapping[str, float]):
-    worst = 1.0
-    for key in set(p) | set(q):
-        pv = p.get(key, 0.0)
-        qv = q.get(key, 0.0)
-        p_zero = pv <= ZERO_PROB_TOL
-        q_zero = qv <= ZERO_PROB_TOL
-        if p_zero and q_zero:
-            continue
-        if p_zero or q_zero:
-            return INCOMPARABLE
-        worst = max(worst, pv / qv, qv / pv)
-    return worst
+def _pair_c(p: np.ndarray, q: np.ndarray):
+    p_zero = p <= ZERO_PROB_TOL
+    q_zero = q <= ZERO_PROB_TOL
+    if np.any(p_zero != q_zero):
+        return INCOMPARABLE
+    live = ~p_zero
+    pv, qv = p[live], q[live]
+    return max(1.0, float(np.max(pv / qv)), float(np.max(qv / pv)))
+
+
+def _same_qubits(p: OutcomeDistribution, q: OutcomeDistribution) -> None:
+    if set(p.measured_qubits) != set(q.measured_qubits):
+        raise ContractError("distributions measure different qubit sets")
 
 
 def _aligned(p: OutcomeDistribution, q: OutcomeDistribution) -> OutcomeDistribution:
-    if set(p.measured_qubits) != set(q.measured_qubits):
-        raise ContractError("distributions measure different qubit sets")
+    _same_qubits(p, q)
     if q.measured_qubits == p.measured_qubits:
         return q
     return q.marginal(p.measured_qubits)
@@ -128,7 +130,7 @@ def minimal_multiplicative_error(p: OutcomeDistribution, q: OutcomeDistribution)
     only tighten the bound, so the joint's ratio is returned; the report
     builder enumerates the marginals explicitly."""
     q = _aligned(p, q)
-    return _pair_c(p.probs, q.probs)
+    return _pair_c(p.pmf, q.pmf)
 
 
 @dataclass(frozen=True)
@@ -141,14 +143,21 @@ class MultiplicativeErrorReport:
 
 def multiplicative_error_report(p: OutcomeDistribution, q: OutcomeDistribution):
     """Minimal c for every non-empty subset of the measured qubits, or
-    INCOMPARABLE if any subset (including the full joint) mismatches."""
-    q = _aligned(p, q)
+    INCOMPARABLE if any subset (including the full joint) mismatches.
+    The 2^k - 1 marginals of each side cost O(4^k), so k above
+    DEFAULT_LIMITS.report_cap raises ResourceError before any is built."""
+    k, cap = len(p.measured_qubits), DEFAULT_LIMITS.report_cap
+    if k > cap:
+        raise ResourceError(f"{k} measured qubits exceed the error-report cap of {cap}")
+    # q's marginals come from q itself rather than from q reordered to p's
+    # qubit order, so each sums q's entries in q's own outcome order.
+    _same_qubits(p, q)
     per: dict[tuple[int, ...], float] = {}
     worst = 1.0
     qubits = p.measured_qubits
     for r in range(1, len(qubits) + 1):
         for subset in itertools.combinations(qubits, r):
-            c = _pair_c(p.marginal(subset).probs, q.marginal(subset).probs)
+            c = _pair_c(p.marginal(subset).pmf, q.marginal(subset).pmf)
             if c is INCOMPARABLE:
                 return INCOMPARABLE
             per[subset] = c
@@ -185,31 +194,26 @@ def check_conditional_bounds(
     """
     if c < 1.0:
         raise ContractError(f"c must be at least 1, got {c}")
-    q_joint = _aligned(p_joint, q_joint)
     assignments = _as_assignments(ps)
     joint_c = minimal_multiplicative_error(p_joint, q_joint)
     comparable = joint_c is not INCOMPARABLE and joint_c <= c * (1.0 + _REL_SLACK)
 
     p_cond, _ = p_joint.condition(assignments)
-    q_cond, _ = q_joint.condition(assignments)
-    max_ratio, min_ratio = 1.0, 1.0
-    binding_high = binding_low = ""
-    for key in set(p_cond.probs) | set(q_cond.probs):
-        pv = p_cond.prob(key)
-        qv = q_cond.prob(key)
-        if pv <= ZERO_PROB_TOL and qv <= ZERO_PROB_TOL:
-            continue
-        if pv <= ZERO_PROB_TOL or qv <= ZERO_PROB_TOL:
-            # Support mismatch downstream of conditioning; only possible
-            # when the joints were already incomparable.
-            return ConditionalBoundsReport(
-                c, comparable, False, math.inf, 0.0, key, key, False
-            )
-        ratio = qv / pv
-        if ratio > max_ratio:
-            max_ratio, binding_high = ratio, key
-        if ratio < min_ratio:
-            min_ratio, binding_low = ratio, key
+    q_cond = _aligned(p_cond, q_joint.condition(assignments)[0])
+    k = len(p_cond.measured_qubits)
+    p_zero = p_cond.pmf <= ZERO_PROB_TOL
+    mismatch = np.flatnonzero(p_zero != (q_cond.pmf <= ZERO_PROB_TOL))
+    if mismatch.size:
+        # Support mismatch downstream of conditioning; only possible when
+        # the joints were already incomparable.
+        key = bitstring(int(mismatch[0]), k)
+        return ConditionalBoundsReport(c, comparable, False, math.inf, 0.0, key, key, False)
+    live = np.flatnonzero(~p_zero)
+    ratios = q_cond.pmf[live] / p_cond.pmf[live]
+    hi, lo = int(np.argmax(ratios)), int(np.argmin(ratios))
+    max_ratio, min_ratio = max(1.0, float(ratios[hi])), min(1.0, float(ratios[lo]))
+    binding_high = bitstring(int(live[hi]), k) if ratios[hi] > 1.0 else ""
+    binding_low = bitstring(int(live[lo]), k) if ratios[lo] < 1.0 else ""
     c_sq = c * c
     within = max_ratio <= c_sq * (1.0 + _REL_SLACK) and min_ratio >= (1.0 - _REL_SLACK) / c_sq
     tight = (
@@ -259,7 +263,7 @@ def classify_acceptance(
     if output not in dc.measured:
         raise ContractError(f"output qubit {output} is not measured")
     cond = conditional_distribution(dc, assignments, limits=limits)
-    p1 = cond.marginal((output,)).prob("1")
+    p1 = float(cond.marginal((output,)).pmf[1])
     if p1 >= 0.5 + delta:
         verdict = "in-language"
     elif p1 <= 0.5 - delta:
@@ -273,24 +277,24 @@ def classify_acceptance(
 # distribution documents
 
 def serialize_distribution(d: OutcomeDistribution) -> str:
-    obj = {
-        "measured": list(d.measured_qubits),
-        "probs": {key: d.probs[key] for key in sorted(d.probs)},
-    }
+    obj = {"measured": list(d.measured_qubits), "probs": d.probs}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def parse_distribution(text: str) -> OutcomeDistribution:
-    try:
-        obj: Any = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(err.msg, f"line {err.lineno} column {err.colno}") from None
+    """Parse a distribution document; the dense outcome array it builds
+    has 2^k entries, so more than DEFAULT_LIMITS.exact_cap measured qubits
+    raise ResourceError before it is allocated."""
+    obj = _loads(text)
     if not isinstance(obj, dict) or "measured" not in obj or "probs" not in obj:
         raise ParseError('expected an object with "measured" and "probs"', "$")
     if not isinstance(obj["measured"], list) or not all(
         isinstance(q, int) for q in obj["measured"]
     ):
         raise ParseError("measured must be an array of qubit indices", "$.measured")
+    k, cap = len(obj["measured"]), DEFAULT_LIMITS.exact_cap
+    if k > cap:
+        raise ResourceError(f"{k} measured qubits exceed the exact cap of {cap}")
     if not isinstance(obj["probs"], dict):
         raise ParseError("probs must map bitstrings to probabilities", "$.probs")
     probs = {}

@@ -138,7 +138,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     text = serialize_circuit(red.circuit)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     except OSError as exc:
         raise ParseError(str(exc), location=args.out) from exc
     _emit(
@@ -249,6 +249,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IMPOSSIBLE
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (Dqc1Error, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,12 +29,15 @@ class Limits:
 
     density_cap bounds full density-matrix evolution and every full-matrix
     oracle; exact_cap bounds exact distributions computed as the average
-    over the mixed-register basis.  Pure-state sampling has no cap here and
-    is limited only by memory (one amplitude vector per shot).
+    over the mixed-register basis, and the width of distribution documents.
+    report_cap bounds the measured qubits of a multiplicative-error report,
+    which builds all 2^k - 1 marginals.  Pure-state sampling has no cap
+    here and is limited only by memory (one amplitude vector per shot).
     """
 
     density_cap: int = 12
     exact_cap: int = 16
+    report_cap: int = 14
 
 
 DEFAULT_LIMITS = Limits()

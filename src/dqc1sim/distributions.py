@@ -5,21 +5,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from .bits import bitstring
 from .config import PROB_SUM_TOL, ZERO_PROB_TOL
 from .errors import ContractError, PostselectionImpossibleError
+
+
+def _outcome_index(key: str, k: int) -> int:
+    if not isinstance(key, str) or len(key) != k or set(key) - {"0", "1"}:
+        raise ContractError(f"outcome key {key!r} does not match {k} measured qubits")
+    return int(key, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact distribution over an ordered tuple of measured qubits.
 
-    Keys of `probs` are bitstrings whose i-th character is the outcome of
-    measured_qubits[i].  Probabilities must be non-negative and sum to one
-    within tolerance; tiny negative rounding dust is clamped to zero.
+    `pmf[i]` is the probability of outcome i, packed like
+    ShotRecord.outcomes: the first measured qubit is the most significant
+    bit.  The constructor also accepts a mapping from bitstrings (i-th
+    character = outcome of measured_qubits[i]) to probabilities, with
+    absent keys read as zero; `probs` renders that form back.
+    Probabilities must be non-negative and sum to one within tolerance;
+    tiny negative rounding dust is clamped to zero.
     """
 
     measured_qubits: tuple[int, ...]
-    probs: dict[str, float]
+    pmf: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "measured_qubits", tuple(int(q) for q in self.measured_qubits))
@@ -28,40 +41,57 @@ class OutcomeDistribution:
             raise ContractError("a distribution needs at least one measured qubit")
         if len(set(self.measured_qubits)) != k:
             raise ContractError("measured qubits must be distinct")
-        cleaned: dict[str, float] = {}
-        for key, p in self.probs.items():
-            if len(key) != k or set(key) - {"0", "1"}:
-                raise ContractError(f"outcome key {key!r} does not match {k} measured qubits")
-            p = float(p)
-            if p < -PROB_SUM_TOL or p > 1.0 + PROB_SUM_TOL:
-                raise ContractError(f"probability of {key!r} out of range: {p}")
-            cleaned[key] = max(p, 0.0)
-        total = sum(cleaned.values())
+        if isinstance(self.pmf, Mapping):
+            pmf = np.zeros(1 << k)
+            for key, p in self.pmf.items():
+                pmf[_outcome_index(key, k)] = float(p)
+        else:
+            pmf = np.asarray(self.pmf, dtype=float)
+            if pmf.shape != (1 << k,):
+                raise ContractError(f"{pmf.size} probabilities do not fit {k} measured qubits")
+        bad = np.flatnonzero(~((pmf >= -PROB_SUM_TOL) & (pmf <= 1.0 + PROB_SUM_TOL)))
+        if bad.size:
+            i = int(bad[0])
+            raise ContractError(f"probability of {bitstring(i, k)!r} out of range: {pmf[i]}")
+        pmf = np.maximum(pmf, 0.0)
+        total = float(pmf.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ContractError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", cleaned)
+        pmf.flags.writeable = False
+        object.__setattr__(self, "pmf", pmf)
 
     def __eq__(self, other):
         if not isinstance(other, OutcomeDistribution):
             return NotImplemented
-        return self.measured_qubits == other.measured_qubits and self.probs == other.probs
+        return self.measured_qubits == other.measured_qubits and np.array_equal(self.pmf, other.pmf)
+
+    @property
+    def probs(self) -> dict[str, float]:
+        """Every outcome's probability keyed by bitstring, for JSON documents."""
+        k = len(self.measured_qubits)
+        return {bitstring(i, k): p for i, p in enumerate(self.pmf.tolist())}
 
     def prob(self, key: str) -> float:
-        return self.probs.get(key, 0.0)
+        return float(self.pmf[_outcome_index(key, len(self.measured_qubits))])
 
     def marginal(self, subset: Sequence[int]) -> "OutcomeDistribution":
         """Marginal onto `subset`, an ordered list of already-measured qubits."""
         subset = tuple(int(q) for q in subset)
-        positions = []
+        if len(set(subset)) != len(subset):
+            raise ContractError("measured qubits must be distinct")
+        kept = []
         for q in subset:
             if q not in self.measured_qubits:
                 raise ContractError(f"qubit {q} is not measured in this distribution")
-            positions.append(self.measured_qubits.index(q))
-        out: dict[str, float] = {}
-        for key, p in self.probs.items():
-            sub = "".join(key[i] for i in positions)
-            out[sub] = out.get(sub, 0.0) + p
-        return OutcomeDistribution(subset, out)
+            kept.append(self.measured_qubits.index(q))
+        k = len(self.measured_qubits)
+        summed = [i for i in range(k) if i not in kept]
+        rows = np.ascontiguousarray(self.pmf.reshape((2,) * k).transpose(summed + kept))
+        # numpy adds the rows one after another, so each outcome's entries
+        # are summed in index order starting from 0.0, exactly as a running
+        # total over the joint's outcomes would, bit for bit.
+        pmf = rows.reshape(1 << len(summed), -1).sum(axis=0, initial=0.0)
+        return OutcomeDistribution(subset, pmf)
 
     def condition(
         self, assignments: Mapping[int, int], keep_assigned: bool = False
@@ -70,8 +100,8 @@ class OutcomeDistribution:
 
         Returns the renormalized distribution and the probability of the
         conditioning event.  The assigned qubits are dropped from the result
-        unless keep_assigned is set, in which case keys keep their full
-        length and non-matching outcomes carry probability zero.
+        unless keep_assigned is set, in which case outcomes keep their full
+        width and non-matching outcomes carry probability zero.
         """
         assignments = {int(q): int(b) for q, b in assignments.items()}
         if not assignments:
@@ -81,31 +111,29 @@ class OutcomeDistribution:
                 raise ContractError(f"postselected qubit {q} is not measured")
             if b not in (0, 1):
                 raise ContractError(f"postselection bit for qubit {q} must be 0 or 1")
-        fixed = {self.measured_qubits.index(q): str(b) for q, b in assignments.items()}
-        kept_positions = [i for i in range(len(self.measured_qubits)) if i not in fixed]
+        k = len(self.measured_qubits)
+        fixed = {self.measured_qubits.index(q): b for q, b in assignments.items()}
+        kept_positions = [i for i in range(k) if i not in fixed]
         if not keep_assigned and not kept_positions:
             raise ContractError("postselection leaves no measured qubits")
 
-        event = 0.0
-        selected: dict[str, float] = {}
-        for key, p in self.probs.items():
-            if any(key[i] != b for i, b in fixed.items()):
-                continue
-            event += p
-            sub = key if keep_assigned else "".join(key[i] for i in kept_positions)
-            selected[sub] = selected.get(sub, 0.0) + p
+        index = tuple(fixed.get(i, slice(None)) for i in range(k))
+        selected = self.pmf.reshape((2,) * k)[index]
+        # Summed one entry after another in index order; np.sum adds
+        # pairwise, which rounds differently.
+        event = float(np.cumsum(selected)[-1])
         if event < ZERO_PROB_TOL:
             raise PostselectionImpossibleError(
                 f"postselection {assignments} has probability {event}"
             )
-        probs = {key: p / event for key, p in selected.items()}
         if keep_assigned:
             qubits = self.measured_qubits
-            for key in self.probs:
-                probs.setdefault(key, 0.0)
+            pmf = np.zeros((2,) * k)
+            pmf[index] = selected / event
         else:
             qubits = tuple(self.measured_qubits[i] for i in kept_positions)
-        return OutcomeDistribution(qubits, probs), event
+            pmf = selected / event
+        return OutcomeDistribution(qubits, pmf.reshape(-1)), event
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         if set(self.measured_qubits) != set(other.measured_qubits):
@@ -113,5 +141,4 @@ class OutcomeDistribution:
         aligned = other
         if other.measured_qubits != self.measured_qubits:
             aligned = other.marginal(self.measured_qubits)
-        keys = set(self.probs) | set(aligned.probs)
-        return 0.5 * sum(abs(self.prob(k) - aligned.prob(k)) for k in keys)
+        return 0.5 * float(np.abs(self.pmf - aligned.pmf).sum())

@@ -131,12 +131,6 @@ def _mixture_outcome_weights(dc: Dqc1Circuit, mixed_bits: int) -> np.ndarray:
     return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
 
 
-def _distribution_from_weights(measured: tuple[int, ...], weights: np.ndarray) -> OutcomeDistribution:
-    k = len(measured)
-    probs = {bitstring(i, k): float(max(w, 0.0)) for i, w in enumerate(weights)}
-    return OutcomeDistribution(measured, probs)
-
-
 def exact_distribution(
     dc: Dqc1Circuit, method: str = "auto", limits: Limits = DEFAULT_LIMITS
 ) -> OutcomeDistribution:
@@ -167,7 +161,7 @@ def exact_distribution(
         weights *= mixture.weight
     else:
         raise ContractError(f"unknown method {method!r}")
-    return _distribution_from_weights(dc.measured, weights)
+    return OutcomeDistribution(dc.measured, np.maximum(weights, 0.0))
 
 
 def conditional_distribution(
@@ -197,7 +191,7 @@ def all_zeros_probability(
     if set(dc.measured) != set(dc.clean_qubits):
         raise ContractError("all-zeros probability needs measured set == clean set")
     joint = exact_distribution(dc, method=method, limits=limits)
-    return joint.prob("0" * len(dc.measured))
+    return float(joint.pmf[0])
 
 
 def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -224,24 +218,23 @@ def sample(
         raise ContractError(f"need a positive shot count, got {shots}")
     k = len(dc.measured)
     uniforms = _shot_uniforms(seed, shots)
-    outcomes = np.empty(shots, dtype=np.int64)
-
     if dc.postselect:
         joint = exact_distribution(dc, limits=limits)
         conditioned, _ = joint.condition(dc.postselect, keep_assigned=True)
-        probs = np.array([conditioned.prob(bitstring(i, k)) for i in range(1 << k)])
-        cdf = np.cumsum(probs)
+        cdf = np.cumsum(conditioned.pmf)
         cdf[-1] = max(cdf[-1], 1.0)
-        outcomes[:] = np.searchsorted(cdf, uniforms[:, 1], side="right")
+        outcomes = np.searchsorted(cdf, uniforms[:, 1], side="right")
     else:
         mixture = MixtureInput(dc.total_qubits, dc.clean_qubits, dc.mixed_qubits)
         draws = (uniforms[:, 0] * mixture.size).astype(np.int64)
         np.clip(draws, 0, mixture.size - 1, out=draws)
-        for b in np.unique(draws):
-            weights = _mixture_outcome_weights(dc, int(b))
+        values, counts = np.unique(draws, return_counts=True)
+        order = np.argsort(draws, kind="stable")
+        outcomes = draws  # grouped already; each shot's entry becomes its outcome
+        for b, group in zip(values.tolist(), np.split(order, np.cumsum(counts[:-1]))):
+            weights = _mixture_outcome_weights(dc, b)
             cdf = np.cumsum(np.maximum(weights, 0.0))
             cdf[-1] = max(cdf[-1], 1.0)
-            mask = draws == b
-            outcomes[mask] = np.searchsorted(cdf, uniforms[mask, 1], side="right")
+            outcomes[group] = np.searchsorted(cdf, uniforms[group, 1], side="right")
     np.clip(outcomes, 0, (1 << k) - 1, out=outcomes)
     return ShotRecord(dc.measured, outcomes, int(seed), shots)

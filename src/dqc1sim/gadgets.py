@@ -17,7 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .circuits import (
     Gate,
     GraphSpec,
     _graph_from_obj,
+    _loads,
     cu,
     cz,
     h,
@@ -127,21 +128,6 @@ def controlled_gates(g: Gate, control: int) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # trace-estimation circuit
 
-@dataclass(frozen=True, eq=False)
-class TraceCircuitSpec:
-    """A unitary circuit together with which part of its trace to probe."""
-
-    unitary: Circuit
-    part: str
-
-    def __post_init__(self):
-        if self.part not in ("real", "imaginary"):
-            raise ContractError(f"part must be 'real' or 'imaginary', got {self.part!r}")
-
-    def build(self) -> Dqc1Circuit:
-        return build_trace_circuit(self.unitary, self.part)
-
-
 def build_trace_circuit(u: Circuit, part: str = "real") -> Dqc1Circuit:
     """One-clean-qubit circuit whose clean-qubit statistics encode the
     normalized trace of `u`.
@@ -150,7 +136,8 @@ def build_trace_circuit(u: Circuit, part: str = "real") -> Dqc1Circuit:
     onto wires 1..n, then (for the imaginary part) picks up a -pi/2 phase,
     and gets a final H.  Pr(clean reads 0) = 1/2 + part(tr u)/2^{n+1}.
     """
-    TraceCircuitSpec(u, part)  # reuse the part check
+    if part not in ("real", "imaginary"):
+        raise ContractError(f"part must be 'real' or 'imaginary', got {part!r}")
     gates: list[Gate] = [h(0)]
     for g in u.gates:
         gates += controlled_gates(g.shifted(1), 0)
@@ -321,10 +308,7 @@ def serialize_pattern(p: MbqcPattern) -> str:
 
 
 def parse_pattern(text: str) -> MbqcPattern:
-    try:
-        obj: Any = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(err.msg, f"line {err.lineno} column {err.colno}") from None
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object", "$")
     for field in ("graph", "angles", "outputs"):

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import circuits
-from .bits import bitstring, gather_bits
+from .bits import gather_bits
 from .circuits import FIXED_1Q, Gate, check_unitary, gate_matrix, rz_matrix
 from .config import HERMITICITY_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
 from .distributions import OutcomeDistribution
@@ -163,7 +163,6 @@ def _apply_gate_kernel(amps: np.ndarray, m: int, g: Gate) -> np.ndarray:
     if kind == "RZ":
         return _apply_matrix(amps, m, rz_matrix(g.theta), g.qubits)
     if kind == "U1Q":
-        check_unitary(g.matrix)
         return _apply_matrix(amps, m, g.matrix, g.qubits)
     if kind == "CZ":
         psi = amps.reshape((2,) * m).copy()
@@ -177,7 +176,6 @@ def _apply_gate_kernel(amps: np.ndarray, m: int, g: Gate) -> np.ndarray:
     if kind == "MCX":
         return _apply_mcx(amps, m, g.controls, g.polarities, g.qubits[0])
     if kind == "CU":
-        check_unitary(g.matrix)
         return _apply_controlled(amps, m, g.matrix, g.controls, g.qubits)
     if kind == "GraphProjX":
         vec = g.graph.state_vector()
@@ -221,6 +219,8 @@ def apply_gate(state: PureState, gate: Gate, targets: Sequence[int] | None = Non
     """
     g = _rewire(gate, targets)
     _check_range(g, state.num_qubits)
+    if g.matrix is not None:
+        check_unitary(g.matrix)
     amps = _apply_gate_kernel(state.amplitudes, state.num_qubits, g)
     return PureState(state.num_qubits, amps)
 
@@ -247,8 +247,8 @@ def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray
 def measure_probs(state: PureState | DensityMatrix, qubits: Sequence[int]) -> OutcomeDistribution:
     """Computational-basis outcome distribution over the listed qubits.
 
-    Outcome keys follow the order of `qubits`.  Zero-probability outcomes
-    are included explicitly for small registers (up to 16 qubits listed).
+    Outcomes are packed in the order of `qubits`, the first listed qubit
+    as the most significant bit.
     """
     qubits = tuple(int(q) for q in qubits)
     if not qubits:
@@ -263,14 +263,7 @@ def measure_probs(state: PureState | DensityMatrix, qubits: Sequence[int]) -> Ou
     else:
         p = state.entries.diagonal().real
     weights = _outcome_weights(p, state.num_qubits, qubits)
-    k = len(qubits)
-    if k <= 16:
-        probs = {bitstring(i, k): float(max(w, 0.0)) for i, w in enumerate(weights)}
-    else:
-        probs = {
-            bitstring(i, k): float(w) for i, w in enumerate(weights) if w > 0.0
-        }
-    return OutcomeDistribution(qubits, probs)
+    return OutcomeDistribution(qubits, np.maximum(weights, 0.0))
 
 
 def fidelity(a: PureState, b: PureState) -> float:

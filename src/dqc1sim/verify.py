@@ -9,7 +9,6 @@ builds and confirm the checks are actually sensitive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,7 +136,7 @@ def check_mixed_register_uniformity(seed: int = 19, trials: int = 8) -> CheckRes
         dc = Dqc1Circuit(Circuit(m, gates), (0,), measured)
         dist = exact_distribution(dc)
         uniform = 1.0 / (1 << len(measured))
-        worst = max(worst, max(abs(p - uniform) for p in dist.probs.values()))
+        worst = max(worst, float(np.max(np.abs(dist.pmf - uniform))))
     return _result("mixed-register-uniformity", worst, 1e-10)
 
 
@@ -148,12 +147,10 @@ def check_sampler_bands(seed: int = 23, shots: int = 20000, trials: int = 4) -> 
     for i in range(trials):
         m = int(rng.integers(2, 6))
         dc = random_dqc1(rng, m, int(rng.integers(3, 10)), measured_count=min(m, 3))
-        exact = exact_distribution(dc)
-        counts = sample(dc, shots, seed=1000 + i).counts()
-        for key, p in exact.probs.items():
-            band = 5.0 * math.sqrt(p * (1.0 - p) / shots) + 1e-9
-            dev = abs(counts.get(key, 0) / shots - p)
-            worst = max(worst, dev / band)
+        p = exact_distribution(dc).pmf
+        counts = np.bincount(sample(dc, shots, seed=1000 + i).outcomes, minlength=p.size)
+        band = 5.0 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots) + 1e-9
+        worst = max(worst, float(np.max(np.abs(counts / shots - p) / band)))
     return _result("sampler-binomial-bands", worst, 1.0, f"{shots} shots, 5 sigma")
 
 
@@ -193,31 +190,34 @@ def check_w_matrix_identity(max_vertices: int = 4) -> CheckResult:
     return _result("distillation-matrix-identity", worst, 1e-10)
 
 
+def _branch_stats(gates: Sequence[Gate], target: np.ndarray) -> tuple[float, float]:
+    """Run the gates on every basis state of the register (qubits 1..) with
+    qubit 0 in |0>; return the probability that qubit 0 then reads 1 and the
+    fidelity of that branch's register state with `target`."""
+    half = target.size
+    m = half.bit_length()
+    total_p = 0.0
+    total_overlap = 0.0
+    for b in range(half):
+        amps = np.zeros(2 * half, dtype=complex)
+        amps[b] = 1.0
+        for g in gates:
+            amps = _apply_gate_kernel(amps, m, g)
+        branch = amps[half:]
+        total_p += float(np.sum(np.abs(branch) ** 2))
+        total_overlap += float(abs(np.vdot(target, branch)) ** 2)
+    return total_p / half, total_overlap / (total_p if total_p > 0 else 1.0)
+
+
 def w_branch_stats(
     graph: GraphSpec, gates: Sequence[Gate] | None = None
 ) -> tuple[float, float]:
     """Probability that the clean qubit reads 1 after the distillation
     gadget, and the fidelity of the postselected register state with the
     graph state.  `gates` overrides the gadget (clean = 0, register = 1..n)."""
-    n = graph.num_vertices
-    m = n + 1
     if gates is None:
-        gates = build_W(graph, 0, list(range(1, m)))
-    gvec = graph.state_vector()
-    half = 1 << n
-    total_p = 0.0
-    total_overlap = 0.0
-    for b in range(1 << n):
-        amps = np.zeros(1 << m, dtype=complex)
-        amps[b] = 1.0  # clean qubit 0 in |0>, register basis state b
-        for g in gates:
-            amps = _apply_gate_kernel(amps, m, g)
-        branch = amps[half:]
-        total_p += float(np.sum(np.abs(branch) ** 2))
-        total_overlap += float(abs(np.vdot(gvec, branch)) ** 2)
-    prob = total_p / (1 << n)
-    fid = total_overlap / (total_p if total_p > 0 else 1.0)
-    return prob, fid
+        gates = build_W(graph, 0, list(range(1, graph.num_vertices + 1)))
+    return _branch_stats(gates, graph.state_vector())
 
 
 def check_w_branch(max_vertices: int = 6) -> CheckResult:
@@ -235,22 +235,9 @@ def check_w_prime_branch(max_vertices: int = 3) -> CheckResult:
     worst = 0.0
     for n in range(1, max_vertices + 1):
         g = GraphSpec(n, tuple((j, j + 1) for j in range(n - 1)))
-        m = n + 2
-        gates = build_W_prime(g, 0, 1, list(range(2, m)))
+        gates = build_W_prime(g, 0, 1, list(range(2, n + 2)))
         target = np.kron(np.array([1.0, 0.0], dtype=complex), g.state_vector())
-        half = 1 << (n + 1)
-        total_p = 0.0
-        total_overlap = 0.0
-        for b in range(half):
-            amps = np.zeros(1 << m, dtype=complex)
-            amps[b] = 1.0
-            for gate in gates:
-                amps = _apply_gate_kernel(amps, m, gate)
-            branch = amps[half:]
-            total_p += float(np.sum(np.abs(branch) ** 2))
-            total_overlap += float(abs(np.vdot(target, branch)) ** 2)
-        prob = total_p / half
-        fid = total_overlap / (total_p if total_p > 0 else 1.0)
+        prob, fid = _branch_stats(gates, target)
         worst = max(worst, abs(prob - 0.5 ** (n + 1)), abs(1.0 - fid))
     return _result("ancilla-distillation-branch", worst, 1e-10)
 
@@ -278,9 +265,8 @@ def reduction_conditional_tv(red: CompiledReduction) -> float:
     joint = exact_distribution(red.circuit)
     conditioned, _ = joint.condition(red.postselect)
     out = conditioned.marginal(red.output_qubits)
-    target = linear_pattern_target_probs(red.target)
-    keys = set(out.probs) | set(target)
-    return 0.5 * sum(abs(out.prob(k) - target.get(k, 0.0)) for k in keys)
+    target = OutcomeDistribution(out.measured_qubits, linear_pattern_target_probs(red.target))
+    return out.total_variation(target)
 
 
 def reduction_event_probability(red: CompiledReduction) -> float:
@@ -323,12 +309,11 @@ def check_compiler_agreement(seed: int = 41, trials: int = 8) -> CheckResult:
         for red in (compile_n_plus_1(pattern), compile_three(pattern)):
             joint = exact_distribution(red.circuit)
             conditioned, _ = joint.condition(red.postselect)
-            outs.append(conditioned.marginal(red.output_qubits).probs)
+            outs.append(conditioned.marginal(red.output_qubits))
         # The compilers place the output on different wires, so compare by
-        # outcome string rather than by qubit label.
-        keys = set(outs[0]) | set(outs[1])
-        tv = 0.5 * sum(abs(outs[0].get(k, 0.0) - outs[1].get(k, 0.0)) for k in keys)
-        worst = max(worst, tv)
+        # outcome rather than by qubit label.
+        relabelled = OutcomeDistribution(outs[0].measured_qubits, outs[1].pmf)
+        worst = max(worst, outs[0].total_variation(relabelled))
     return _result("compiler-agreement", worst, 1e-10)
 
 
@@ -354,18 +339,13 @@ def _random_joint(rng: np.random.Generator, qubits: tuple[int, ...]) -> OutcomeD
     k = len(qubits)
     raw = rng.random(1 << k) + 0.05
     raw /= raw.sum()
-    return OutcomeDistribution(
-        qubits, {format(i, f"0{k}b"): float(p) for i, p in enumerate(raw)}
-    )
+    return OutcomeDistribution(qubits, raw)
 
 
 def _perturbed(rng: np.random.Generator, p: OutcomeDistribution) -> OutcomeDistribution:
-    factors = np.exp(rng.uniform(-0.3, 0.3, size=len(p.probs)))
-    raw = np.array([p.probs[k] for k in sorted(p.probs)]) * factors
+    raw = p.pmf * np.exp(rng.uniform(-0.3, 0.3, size=p.pmf.size))
     raw /= raw.sum()
-    return OutcomeDistribution(
-        p.measured_qubits, dict(zip(sorted(p.probs), (float(v) for v in raw)))
-    )
+    return OutcomeDistribution(p.measured_qubits, raw)
 
 
 def check_error_identity(seed: int = 47, trials: int = 20) -> CheckResult:

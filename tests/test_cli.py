@@ -4,6 +4,7 @@ import pytest
 
 from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, h, serialize_circuit, parse_circuit, serialize_unitary, t, x
 from dqc1sim.cli import main
+from dqc1sim.config import DEFAULT_LIMITS
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.analysis import serialize_distribution
 from dqc1sim.engine import exact_distribution
@@ -314,3 +315,45 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# compile output file, resource failures
+
+
+def test_compile_file_ends_in_one_newline(capsys, tmp_path):
+    pat_file, _ = _pattern_file(tmp_path)
+    out_file = tmp_path / "one_newline.json"
+    code, _, _ = _run(
+        capsys, ["compile", "--pattern", pat_file, "--mode", "three", "--out", str(out_file)]
+    )
+    assert code == 0
+    text = out_file.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [DEFAULT_LIMITS.report_cap + 1, DEFAULT_LIMITS.exact_cap + 1],
+    ids=["report-cap", "document-cap"],
+)
+def test_check_error_over_cap_exits_3(capsys, tmp_path, k):
+    doc = json.dumps({"measured": list(range(k)), "probs": {"0" * k: 1.0}})
+    path = tmp_path / "wide.json"
+    path.write_text(doc)
+    code, out, err = _run(capsys, ["check-error", str(path), str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_memory_error_exits_3(capsys, monkeypatch, coin_file):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr("dqc1sim.cli.sample", exhausted)
+    code, out, err = _run(capsys, ["run", "--circuit", coin_file])
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"

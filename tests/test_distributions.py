@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -140,3 +142,72 @@ def test_condition_matches_manual_quotient(d, bit):
 def test_condition_rejects_assigning_every_qubit():
     with pytest.raises(ContractError):
         uniform((0,)).condition({0: 0})
+
+
+# ---------------------------------------------------------------------------
+# the array form against the outcome loops it replaced
+
+def _loop_marginal(probs, positions):
+    out = {}
+    for key, p in probs.items():
+        sub = "".join(key[i] for i in positions)
+        out[sub] = out.get(sub, 0.0) + p
+    return out
+
+
+def _loop_condition(probs, fixed):
+    event, selected = 0.0, {}
+    for key, p in probs.items():
+        if all(key[i] == str(b) for i, b in fixed.items()):
+            event += p
+            sub = "".join(c for i, c in enumerate(key) if i not in fixed)
+            selected[sub] = selected.get(sub, 0.0) + p
+    return {key: p / event for key, p in selected.items()}, event
+
+
+def _random_dist(k, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.5, 1.5, size=1 << k)
+    raw /= raw.sum()
+    return OutcomeDistribution(tuple(range(k)), {format(i, f"0{k}b"): float(v) for i, v in enumerate(raw)})
+
+
+def test_marginal_is_bit_identical_to_outcome_loop():
+    # Keys in index order: the array sums each outcome's entries in the
+    # same order as the loop, so every float must match exactly.
+    d = _random_dist(7, 3)
+    probs = d.probs
+    rng = np.random.default_rng(4)
+    for r in range(1, 8):
+        for subset in itertools.combinations(range(7), r):
+            subset = tuple(int(q) for q in rng.permutation(subset))
+            want = _loop_marginal(probs, subset)
+            assert d.marginal(subset).probs == want, subset
+
+
+def test_condition_is_bit_identical_to_outcome_loop():
+    d = _random_dist(6, 5)
+    probs = d.probs
+    for fixed in ({0: 1}, {5: 0}, {1: 1, 4: 0}, {0: 0, 2: 1, 3: 1, 5: 0}):
+        want, want_event = _loop_condition(probs, fixed)
+        cond, event = d.condition(fixed)
+        assert event == want_event
+        assert cond.probs == want
+
+
+def test_prob_rejects_malformed_key():
+    d = uniform((0, 1))
+    with pytest.raises(ContractError):
+        d.prob("0")
+    with pytest.raises(ContractError):
+        d.prob("0a")
+
+
+def test_array_form_matches_bitstring_form():
+    d = OutcomeDistribution((2, 0), np.array([0.1, 0.2, 0.3, 0.4]))
+    assert d == OutcomeDistribution((2, 0), {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4})
+    assert d.prob("10") == 0.3
+    with pytest.raises(ContractError):
+        OutcomeDistribution((0, 1), np.array([0.5, 0.5]))
+    with pytest.raises(ContractError):
+        OutcomeDistribution((0,), np.array([np.nan, 1.0]))

@@ -1,0 +1,132 @@
+"""Golden stdout hashes: seeded CLI runs must stay byte-identical.
+
+Each case writes fixed, seeded input files into a fresh directory, runs
+one command there with relative paths and pins the sha256 of its stdout.
+A refactor that changes a single output byte (a float's last bit, a key,
+a count) fails here.  The digests assume one numpy/BLAS build; another
+BLAS may round the last bit of a float differently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from dqc1sim.circuits import Dqc1Circuit, serialize_circuit, serialize_unitary
+from dqc1sim.cli import main
+from dqc1sim.gadgets import compile_three, pattern_from_rotations, serialize_pattern
+from dqc1sim.randcirc import random_circuit, random_dqc1
+
+
+def _write(name: str, text: str) -> str:
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return name
+
+
+def _dist_doc(measured, probs) -> str:
+    k = len(measured)
+    keys = (format(i, f"0{k}b") for i in range(1 << k))
+    return json.dumps({"measured": list(measured), "probs": dict(zip(keys, map(float, probs)))})
+
+
+def _plain_circuit() -> str:
+    dc = random_dqc1(np.random.default_rng(101), 5, 24, clean_count=2, measured_count=3)
+    return _write("plain.json", serialize_circuit(dc))
+
+
+def _baked_circuit() -> str:
+    red = compile_three(pattern_from_rotations([0.4, -1.2, 2.1]))
+    assert red.circuit.postselect
+    return _write("baked.json", serialize_circuit(red.circuit))
+
+
+def _postselect_circuit() -> str:
+    c = random_circuit(np.random.default_rng(103), 4, 20)
+    return _write("ps.json", serialize_circuit(Dqc1Circuit(c, (0, 1), (0, 1, 3))))
+
+
+def _unitary() -> str:
+    return _write("u.json", serialize_unitary(random_circuit(np.random.default_rng(107), 3, 14)))
+
+
+def _error_pair() -> list[str]:
+    rng = np.random.default_rng(109)
+    p = rng.uniform(0.5, 1.5, size=64)
+    p /= p.sum()
+    q = p * rng.uniform(0.8, 1.25, size=64)
+    q /= q.sum()
+    # q lists its qubits in another order, so the report aligns it first.
+    order = (3, 0, 5, 1, 4, 2)
+    other = (0, 1, 2, 3, 4, 5)
+    q_other = q.reshape((2,) * 6).transpose([order.index(v) for v in other]).reshape(-1)
+    return [_write("p6.json", _dist_doc(order, p)), _write("q6.json", _dist_doc(other, q_other))]
+
+
+def _incomparable_pair() -> list[str]:
+    p = [0.25, 0.25, 0.0, 0.5]
+    q = [0.25, 0.25, 0.25, 0.25]
+    return [_write("pz.json", _dist_doc((0, 1), p)), _write("qz.json", _dist_doc((0, 1), q))]
+
+
+def _pattern() -> str:
+    return _write("pattern.json", serialize_pattern(pattern_from_rotations([0.3, -0.9, 1.7])))
+
+
+CASES = {
+    "run-plain": (
+        lambda: ["run", "--circuit", _plain_circuit(), "--shots", "4096", "--seed", "11"],
+        "165b9ad8435b0d40543f1f7ff797482474d48bd30e55c30ed8f6ef40b3cf03a7",
+    ),
+    "run-baked-postselect": (
+        lambda: ["run", "--circuit", _baked_circuit(), "--shots", "4096", "--seed", "12"],
+        "7d574dd488b65df14ff2b9cab86e62ab388b4519ba6c66759ab27bc118c3f867",
+    ),
+    "exact-plain": (
+        lambda: ["exact", "--circuit", _plain_circuit()],
+        "76b85747434473c33bde457a279ecbf0878d06fe7b50c12d45828df10f97ec53",
+    ),
+    "exact-postselect": (
+        lambda: ["exact", "--circuit", _postselect_circuit(), "--postselect", "0=1,3=0"],
+        "82724f00b96adea67e60c5053c69539eed134b9f1847a4ff20a93a9bf09f2d89",
+    ),
+    "trace-real": (
+        lambda: ["trace", "--unitary", _unitary(), "--part", "real", "--shots", "20000", "--seed", "13"],
+        "9be7ee15240a4371172491ba34d5ea3a8230785a1294281d5c73d2d04a12a9f8",
+    ),
+    "trace-imaginary": (
+        lambda: ["trace", "--unitary", _unitary(), "--part", "imaginary", "--shots", "20000", "--seed", "14"],
+        "392b2638090128d1ec4c1beda6a69f9ecdd6ccb1690d1e66316e7ea2802ec0e9",
+    ),
+    "check-error-k6": (
+        lambda: ["check-error", *_error_pair()],
+        "e3055d3c5efd75439e857876bcc6d455af07940db0d6ff81a2a40d517aefd432",
+    ),
+    "check-error-incomparable": (
+        lambda: ["check-error", *_incomparable_pair()],
+        "f72ad5a7dde96cf237cc01c1e27e7eb08e0ae5aa004a3727657086120af48ff5",
+    ),
+    "compile-n1": (
+        lambda: ["compile", "--pattern", _pattern(), "--mode", "n1", "--out", "n1.json"],
+        "973c941af8f529339ddc26cf1b0e5246a4fbeff8bfca860843fd9ed6f8978cc8",
+    ),
+    "compile-three": (
+        lambda: ["compile", "--pattern", _pattern(), "--mode", "three", "--out", "three.json"],
+        "b95d6a4943cc91d846e79338100566689fc2669109eb9ae37cc258ba46519d9f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    make_argv, digest = CASES[name]
+    argv = make_argv()
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

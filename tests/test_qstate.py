@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, x
+from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, u1q, x
 from dqc1sim.circuits import GraphSpec
-from dqc1sim.errors import ContractError, ResourceError
+from dqc1sim.errors import ContractError, ResourceError, UnitarityError
 from dqc1sim.qstate import (
     DensityMatrix,
     PureState,
@@ -223,3 +223,13 @@ def test_fidelity_phase_invariant():
     a = _random_state(23, 2)
     shifted = PureState(2, a.amplitudes * np.exp(1j * 0.3))
     assert fidelity(a, shifted) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [u1q(np.array([[1.0, 0.0], [0.0, 2.0]]), 1), cu(np.array([[1.0, 1.0], [0.0, 1.0]]), (1,), (0,))],
+    ids=["U1Q", "CU"],
+)
+def test_apply_gate_rejects_non_unitary_matrix(gate):
+    with pytest.raises(UnitarityError):
+        apply_gate(PureState.zero(2), gate)
