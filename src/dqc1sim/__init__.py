@@ -46,7 +46,6 @@ from .circuits import (
 from .config import DEFAULT_LIMITS, DEFAULT_SEED, Limits
 from .distributions import OutcomeDistribution
 from .engine import (
-    MixtureInput,
     PostselectionSpec,
     ShotRecord,
     all_zeros_probability,

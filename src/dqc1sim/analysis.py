@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .bits import bitstring
-from .circuits import Circuit, Dqc1Circuit, _loads, circuit_matrix
+from .circuits import Circuit, Dqc1Circuit, _loads, _number_field, circuit_matrix
 from .config import DEFAULT_LIMITS, DEFAULT_SEED, ZERO_PROB_TOL, Limits
 from .distributions import OutcomeDistribution
 from .engine import PostselectionSpec, _as_assignments, conditional_distribution, sample
@@ -67,12 +67,11 @@ def estimate_trace(
     part: str = "real",
     shots: int = 10**5,
     seed: int = DEFAULT_SEED,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> TraceEstimate:
     """Sample the trace circuit for `u` and linearly invert the clean-qubit
     statistics: estimate = 2 p0 - 1, stderr = 2 sqrt(p0 (1-p0) / shots)."""
     dc = build_trace_circuit(u, part)
-    record = sample(dc, shots, seed, limits=limits)
+    record = sample(dc, shots, seed)
     p0 = record.counts().get("0", 0) / shots
     return TraceEstimate(
         normalized_trace_part=2.0 * p0 - 1.0,
@@ -297,11 +296,10 @@ def parse_distribution(text: str) -> OutcomeDistribution:
         raise ResourceError(f"{k} measured qubits exceed the exact cap of {cap}")
     if not isinstance(obj["probs"], dict):
         raise ParseError("probs must map bitstrings to probabilities", "$.probs")
-    probs = {}
-    for key, val in obj["probs"].items():
-        if not isinstance(val, (int, float)):
-            raise ParseError(f"probability of {key!r} must be a number", "$.probs")
-        probs[key] = float(val)
+    probs = {
+        key: _number_field(val, f"probability of {key!r} must be a finite number", "$.probs")
+        for key, val in obj["probs"].items()
+    }
     try:
         return OutcomeDistribution(tuple(obj["measured"]), probs)
     except ContractError as err:

@@ -60,8 +60,9 @@ def check_unitary(mat: np.ndarray, tol: float = UNITARITY_TOL) -> None:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise UnitarityError(f"matrix of shape {mat.shape} is not square")
-    resid = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
-    if resid > tol:
+    with np.errstate(all="ignore"):  # non-finite entries give a NaN residual
+        resid = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
+    if not resid <= tol:
         raise UnitarityError(f"unitarity residual {resid:.3e} exceeds {tol:.1e}")
 
 
@@ -554,7 +555,7 @@ def _matrix_from_obj(obj: Any, loc: str) -> np.ndarray:
         for row in obj:
             rows.append([complex(float(re), float(im)) for re, im in row])
         mat = np.array(rows, dtype=complex)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError("matrix must be nested arrays of [re, im] pairs", loc) from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"matrix has shape {mat.shape}, expected square", loc)
@@ -576,6 +577,34 @@ def _gate_to_obj(g: Gate) -> dict:
     if g.extra_zero is not None:
         obj["extra_zero"] = g.extra_zero
     return obj
+
+
+def _index_field(text: str, message: str, loc: str) -> int:
+    """The qubit or vertex index spelled by `text`, or a ParseError.
+
+    Only ASCII digits count: str.isdigit() also passes "²", which int()
+    rejects, and int() also reads other scripts' digits such as "٣".
+    """
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(message, loc)
+
+
+def _number_field(val: Any, message: str, loc: str) -> float:
+    """A JSON number as a finite float, or a ParseError.
+
+    json accepts NaN and Infinity, and integers too large for a float."""
+    if isinstance(val, (int, float)):
+        try:
+            f = float(val)
+        except OverflowError:
+            raise ParseError(message, loc) from None
+        if math.isfinite(f):
+            return f
+    raise ParseError(message, loc)
 
 
 def _int_list(obj: Any, loc: str) -> tuple[int, ...]:
@@ -602,7 +631,7 @@ def _gate_from_obj(obj: Any, loc: str) -> Gate:
     if not isinstance(obj, dict):
         raise ParseError("gate must be an object", loc)
     kind = obj.get("g")
-    if kind not in GATE_KINDS:
+    if not isinstance(kind, str) or kind not in GATE_KINDS:
         raise ParseError(f"unknown gate kind {kind!r}", loc + ".g")
     kwargs: dict[str, Any] = {}
     kwargs["qubits"] = _int_list(obj.get("q", []), loc + ".q")
@@ -611,9 +640,8 @@ def _gate_from_obj(obj: Any, loc: str) -> Gate:
     if "pol" in obj:
         kwargs["polarities"] = _int_list(obj["pol"], loc + ".pol")
     if "theta" in obj:
-        if not isinstance(obj["theta"], (int, float)):
-            raise ParseError("theta must be a number", loc + ".theta")
-        kwargs["theta"] = float(obj["theta"])
+        theta_loc = loc + ".theta"
+        kwargs["theta"] = _number_field(obj["theta"], "theta must be a finite number", theta_loc)
     if "u" in obj:
         kwargs["matrix"] = _matrix_from_obj(obj["u"], loc + ".u")
     if "graph" in obj:
@@ -651,6 +679,8 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, f"line {err.lineno} column {err.colno}") from None
+    except (ValueError, RecursionError) as err:  # over-long integers, deep nesting
+        raise ParseError(str(err), "$") from None
 
 
 def parse_circuit(text: str) -> Dqc1Circuit:
@@ -673,11 +703,10 @@ def parse_circuit(text: str) -> Dqc1Circuit:
             raise ParseError("postselect must be an object", "$.postselect")
         postselect = {}
         for key, bit in raw.items():
-            if not key.isdigit():
-                raise ParseError(f"postselect key {key!r} is not a qubit index", "$.postselect")
+            q = _index_field(key, f"postselect key {key!r} is not a qubit index", "$.postselect")
             if bit not in (0, 1):
                 raise ParseError(f"postselect bit for qubit {key} must be 0 or 1", "$.postselect")
-            postselect[int(key)] = bit
+            postselect[q] = bit
     dc = Dqc1Circuit(Circuit(obj["total_qubits"], gates), clean, measured, postselect)
     require_valid(dc)
     return dc

@@ -20,7 +20,7 @@ from .analysis import (
     multiplicative_error_report,
     parse_distribution,
 )
-from .circuits import parse_circuit, parse_unitary, serialize_circuit
+from .circuits import _index_field, parse_circuit, parse_unitary, serialize_circuit
 from .config import DEFAULT_LIMITS, DEFAULT_SEED, Limits
 from .engine import exact_distribution, sample
 from .errors import (
@@ -55,11 +55,10 @@ def _parse_postselect(text: str) -> dict[int, int]:
         if not piece:
             continue
         qubit, sep, bit = piece.partition("=")
-        if not sep or not qubit.strip().isdigit() or bit.strip() not in ("0", "1"):
-            raise ParseError(
-                f"bad postselect entry {piece!r}, expected index=bit", location="--postselect"
-            )
-        q = int(qubit)
+        message = f"bad postselect entry {piece!r}, expected index=bit"
+        if not sep or bit.strip() not in ("0", "1"):
+            raise ParseError(message, location="--postselect")
+        q = _index_field(qubit.strip(), message, "--postselect")
         if q in assignments:
             raise ParseError(f"qubit {q} assigned twice", location="--postselect")
         assignments[q] = int(bit)
@@ -116,9 +115,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     u = parse_unitary(_read_text(args.unitary))
-    est = estimate_trace(
-        u, args.part, shots=args.shots, seed=args.seed, limits=_limits(args)
-    )
+    est = estimate_trace(u, args.part, shots=args.shots, seed=args.seed)
     _emit(
         {
             "normalized_trace_part": est.normalized_trace_part,
@@ -218,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--unitary", required=True)
     trace_p.add_argument("--part", choices=("real", "imaginary"), default="real")
     add_common(trace_p)
-    trace_p.add_argument("--density-cap", type=int, default=None)
     trace_p.set_defaults(func=cmd_trace)
 
     compile_p = sub.add_parser("compile", help="compile a measurement pattern")

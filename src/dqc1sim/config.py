@@ -32,7 +32,8 @@ class Limits:
     over the mixed-register basis, and the width of distribution documents.
     report_cap bounds the measured qubits of a multiplicative-error report,
     which builds all 2^k - 1 marginals.  Pure-state sampling has no cap
-    here and is limited only by memory (one amplitude vector per shot).
+    here and is limited only by memory: it holds one amplitude vector at a
+    time, run once per distinct mixed-register basis draw.
     """
 
     density_cap: int = 12

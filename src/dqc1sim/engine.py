@@ -3,10 +3,11 @@
 Inputs are always |0><0| on the clean qubits tensored with the maximally
 mixed state on the rest.  Exact distributions come from two independent
 routes: full density-matrix conjugation (dense oracle, capped) and the
-uniform average over mixed-register basis states run through the pure
-kernels.  Sampling is per shot: draw a mixed-register basis state, run it
-pure, then draw the outcome, all from a counter-based random stream so a
-(seed, shot index) pair always yields the same shot.
+uniform average over mixed-register basis states, each run through the
+circuit compiled once into pure-state ops.  Sampling is per shot: draw a
+mixed-register basis state, run it pure, then draw the outcome, all from
+a counter-based random stream so a (seed, shot index) pair always yields
+the same shot.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from .circuits import Dqc1Circuit, require_valid
 from .config import DEFAULT_LIMITS, Limits
 from .distributions import OutcomeDistribution
 from .errors import ContractError, ResourceError
-from .qstate import (
-    DensityMatrix,
-    PureState,
-    _apply_gate_kernel,
-    _outcome_weights,
-    evolve_density,
-)
+from .qstate import DensityMatrix, _outcome_weights, compile_gate, evolve_density
 
 
 @dataclass(frozen=True)
@@ -71,63 +66,33 @@ class ShotRecord:
         return {bitstring(int(v), k): int(f) for v, f in zip(values, freq)}
 
 
-@dataclass(frozen=True)
-class MixtureInput:
-    """The input state as a uniform ensemble of computational basis states."""
-
-    num_qubits: int
-    clean_qubits: tuple[int, ...]
-    mixed_qubits: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return 1 << len(self.mixed_qubits)
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.size
-
-    def basis_index(self, mixed_bits: int) -> int:
-        packed = scatter_bits(
-            np.array([mixed_bits], dtype=np.int64), self.mixed_qubits, self.num_qubits
-        )
-        return int(packed[0])
-
-    def basis_states(self) -> Iterator[PureState]:
-        for b in range(self.size):
-            yield PureState.basis(self.num_qubits, self.basis_index(b))
-
-
-def build_input(
-    dc: Dqc1Circuit, form: str = "density", limits: Limits = DEFAULT_LIMITS
-) -> DensityMatrix | MixtureInput:
-    """Initial state: |0><0| on clean qubits, I/2 on every other qubit.
-
-    form "density" returns the explicit matrix (capped); form "mixture"
-    returns the ensemble description used by the averaging path.
-    """
+def build_input(dc: Dqc1Circuit, limits: Limits = DEFAULT_LIMITS) -> DensityMatrix:
+    """Initial state as an explicit density matrix (capped): |0><0| on the
+    clean qubits, I/2 on every other qubit."""
     require_valid(dc)
     m = dc.total_qubits
-    mixture = MixtureInput(m, dc.clean_qubits, dc.mixed_qubits)
-    if form == "mixture":
-        return mixture
-    if form != "density":
-        raise ContractError(f"unknown input form {form!r}")
     if m > limits.density_cap:
         raise ResourceError(f"{m} qubits exceed the density cap of {limits.density_cap}")
+    size = 1 << len(dc.mixed_qubits)
     diag = np.zeros(1 << m)
-    for b in range(mixture.size):
-        diag[mixture.basis_index(b)] = mixture.weight
+    diag[scatter_bits(np.arange(size), dc.mixed_qubits, m)] = 1.0 / size
     return DensityMatrix(m, np.diag(diag.astype(complex)))
 
 
-def _mixture_outcome_weights(dc: Dqc1Circuit, mixed_bits: int) -> np.ndarray:
+def _apply_gate_kernel(op, psi: np.ndarray) -> None:
+    """Run one compiled op in place.  Kept as a named step so that a tracer
+    can count and time the engine's kernel calls."""
+    op(psi)
+
+
+def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, start: int) -> np.ndarray:
+    """Outcome weights of one pure run of the compiled ops from basis state `start`."""
     m = dc.total_qubits
-    mixture = MixtureInput(m, dc.clean_qubits, dc.mixed_qubits)
     amps = np.zeros(1 << m, dtype=complex)
-    amps[mixture.basis_index(mixed_bits)] = 1.0
-    for g in dc.gates:
-        amps = _apply_gate_kernel(amps, m, g)
+    amps[start] = 1.0
+    psi = amps.reshape((2,) * m)
+    for op in ops:
+        _apply_gate_kernel(op, psi)
     return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
 
 
@@ -146,7 +111,7 @@ def exact_distribution(
     if method == "auto":
         method = "density" if m <= limits.density_cap else "mixture"
     if method == "density":
-        rho = build_input(dc, "density", limits=limits)
+        rho = build_input(dc, limits=limits)
         for g in dc.gates:
             rho = evolve_density(rho, g, cap=limits.density_cap)
         p = rho.entries.diagonal().real
@@ -154,11 +119,12 @@ def exact_distribution(
     elif method == "mixture":
         if m > limits.exact_cap:
             raise ResourceError(f"{m} qubits exceed the exact cap of {limits.exact_cap}")
-        mixture = build_input(dc, "mixture")
+        ops = [compile_gate(g, m) for g in dc.gates]
+        size = 1 << len(dc.mixed_qubits)
         weights = np.zeros(1 << len(dc.measured))
-        for b in range(mixture.size):
-            weights += _mixture_outcome_weights(dc, b)
-        weights *= mixture.weight
+        for start in scatter_bits(np.arange(size), dc.mixed_qubits, m).tolist():
+            weights += _mixture_outcome_weights(dc, ops, start)
+        weights *= 1.0 / size
     else:
         raise ContractError(f"unknown method {method!r}")
     return OutcomeDistribution(dc.measured, np.maximum(weights, 0.0))
@@ -208,10 +174,11 @@ def sample(
     """Draw seeded i.i.d. shots from the circuit's exact distribution.
 
     Without postselection each shot draws a mixed-register basis state,
-    runs it through the pure kernels and draws the outcome; identical
-    basis draws share one simulation.  With postselection baked into the
-    circuit, shots are drawn from the exact conditional distribution and
-    keep their full-length bitstrings (forced bits always match).
+    runs it through the compiled pure-state ops and draws the outcome;
+    identical basis draws share one simulation.  With postselection baked
+    into the circuit, shots are drawn from the exact conditional
+    distribution and keep their full-length bitstrings (forced bits always
+    match).
     """
     require_valid(dc)
     if shots < 1:
@@ -225,14 +192,16 @@ def sample(
         cdf[-1] = max(cdf[-1], 1.0)
         outcomes = np.searchsorted(cdf, uniforms[:, 1], side="right")
     else:
-        mixture = MixtureInput(dc.total_qubits, dc.clean_qubits, dc.mixed_qubits)
-        draws = (uniforms[:, 0] * mixture.size).astype(np.int64)
-        np.clip(draws, 0, mixture.size - 1, out=draws)
+        size = 1 << len(dc.mixed_qubits)
+        draws = (uniforms[:, 0] * size).astype(np.int64)
+        np.clip(draws, 0, size - 1, out=draws)
         values, counts = np.unique(draws, return_counts=True)
         order = np.argsort(draws, kind="stable")
         outcomes = draws  # grouped already; each shot's entry becomes its outcome
-        for b, group in zip(values.tolist(), np.split(order, np.cumsum(counts[:-1]))):
-            weights = _mixture_outcome_weights(dc, b)
+        ops = [compile_gate(g, dc.total_qubits) for g in dc.gates]
+        starts = scatter_bits(values, dc.mixed_qubits, dc.total_qubits).tolist()
+        for start, group in zip(starts, np.split(order, np.cumsum(counts[:-1]))):
+            weights = _mixture_outcome_weights(dc, ops, start)
             cdf = np.cumsum(np.maximum(weights, 0.0))
             cdf[-1] = max(cdf[-1], 1.0)
             outcomes[group] = np.searchsorted(cdf, uniforms[group, 1], side="right")

@@ -27,7 +27,9 @@ from .circuits import (
     Gate,
     GraphSpec,
     _graph_from_obj,
+    _index_field,
     _loads,
+    _number_field,
     cu,
     cz,
     h,
@@ -175,10 +177,13 @@ class MbqcPattern:
             raise ContractError("output vertices must be distinct")
         if any(not 0 <= v < n for v in self.outputs):
             raise ContractError(f"output vertices out of range: {self.outputs}")
-        expected = set(range(n)) - set(self.outputs)
-        if set(self.angles) != expected:
+        # Counted rather than listed: n comes from the document and may be huge.
+        outputs = set(self.outputs)
+        if len(self.angles) != n - len(outputs) or any(
+            not 0 <= v < n or v in outputs for v in self.angles
+        ):
             raise ContractError(
-                f"angles must cover exactly the non-output vertices {sorted(expected)}"
+                f"angles must cover exactly the {n - len(outputs)} non-output vertices"
             )
 
     def __eq__(self, other: object) -> bool:
@@ -319,9 +324,8 @@ def parse_pattern(text: str) -> MbqcPattern:
         raise ParseError("angles must map vertex indices to radians", "$.angles")
     angles = {}
     for key, val in obj["angles"].items():
-        if not key.isdigit() or not isinstance(val, (int, float)):
-            raise ParseError(f"bad angle entry {key!r}", "$.angles")
-        angles[int(key)] = float(val)
+        message = f"bad angle entry {key!r}"
+        angles[_index_field(key, message, "$.angles")] = _number_field(val, message, "$.angles")
     if not isinstance(obj["outputs"], list) or not all(
         isinstance(v, int) for v in obj["outputs"]
     ):

@@ -1,11 +1,17 @@
 """Pure-state and density-matrix simulation kernels.
 
-The pure path applies gates by reshaping the amplitude vector into a rank-m
-tensor and contracting the affected axes, so no full 2^m x 2^m matrix is
-ever built; it is meant to stay usable up to roughly 24 qubits.  The
-density path deliberately goes the other way: it conjugates by the full
-gate matrix from the dense oracle, so the two routes stay independent and
-can check each other.
+The pure path compiles a gate list once into ops, then runs them in place
+on the amplitude vector viewed as a rank-m tensor of 2s, so no full
+2^m x 2^m matrix is ever built.  Every gate but GraphProjX becomes one
+controlled-matrix op: a 2^k x 2^k matrix on k target axes, applied on the
+view where the control axes read their firing bits (CZ is Z on its second
+qubit under the first, CNOT and MCX are X under controls).  GraphProjX
+becomes a projector flip.  Compiling evaluates each matrix, graph-state
+vector and index tuple once per job; the per-basis-state loops of the
+mixture route and the sampler then only run ops.  The density path
+deliberately goes the other way: it conjugates by the full gate matrix
+from the dense oracle, so the two routes stay independent and can check
+each other.
 
 Bit convention: qubit 0 is the most significant bit of a basis index and
 the leftmost character of every outcome bitstring.
@@ -13,13 +19,11 @@ the leftmost character of every outcome bitstring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import circuits
 from .bits import gather_bits
 from .circuits import FIXED_1Q, Gate, check_unitary, gate_matrix, rz_matrix
 from .config import HERMITICITY_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
@@ -99,92 +103,83 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# pure-state kernels (private, operate on raw amplitude arrays)
+# compiled pure-state ops
 
-def _apply_matrix(amps: np.ndarray, m: int, mat: np.ndarray, wires: Sequence[int]) -> np.ndarray:
-    k = len(wires)
-    psi = np.moveaxis(amps.reshape((2,) * m), wires, range(k))
-    tail = psi.shape[k:]
-    out = (mat @ psi.reshape(1 << k, -1)).reshape((2,) * k + tail)
-    return np.moveaxis(out, range(k), wires).reshape(-1)
+@dataclass(frozen=True)
+class _ControlledMatrix:
+    """`mat` on the leading axes of psi[sel].transpose(fwd).
 
+    sel fixes every control axis to its firing bit and keeps the other axes
+    whole, so psi[sel] is a view; fwd puts its target axes first, the rest
+    in order.
+    """
 
-def _apply_mcx(
-    amps: np.ndarray, m: int, controls: Sequence[int], polarities: Sequence[int], target: int
-) -> np.ndarray:
-    psi = amps.reshape((2,) * m).copy()
-    sel: list = [slice(None)] * m
-    for c, p in zip(controls, polarities):
-        sel[c] = p
-    sel0 = list(sel)
-    sel0[target] = 0
-    sel1 = list(sel)
-    sel1[target] = 1
-    low = psi[tuple(sel0)].copy()
-    psi[tuple(sel0)] = psi[tuple(sel1)]
-    psi[tuple(sel1)] = low
-    return psi.reshape(-1)
+    sel: tuple
+    fwd: tuple[int, ...]
+    mat: np.ndarray
+
+    def __call__(self, psi: np.ndarray) -> None:
+        view = psi[self.sel].transpose(self.fwd)
+        # Every axis has length 2, so the product reshapes to the view's shape.
+        view[...] = (self.mat @ view.reshape(len(self.mat), -1)).reshape(view.shape)
 
 
-def _apply_controlled(
-    amps: np.ndarray, m: int, mat: np.ndarray, controls: Sequence[int], targets: Sequence[int]
-) -> np.ndarray:
-    psi = amps.reshape((2,) * m).copy()
-    sel = tuple(1 if q in controls else slice(None) for q in range(m))
-    sub = psi[sel]
-    remaining = [q for q in range(m) if q not in controls]
-    sub_wires = [remaining.index(q) for q in targets]
-    flat = np.ascontiguousarray(sub).reshape(-1)
-    psi[sel] = _apply_matrix(flat, m - len(controls), mat, sub_wires).reshape(sub.shape)
-    return psi.reshape(-1)
+@dataclass(frozen=True)
+class _GraphFlip:
+    """Direct projector action of GraphProjX: split off the component along
+    `vec` on the leading axes of psi.transpose(fwd) and exchange it between
+    the 0 and 1 branches of the next axis, the target."""
+
+    fwd: tuple[int, ...]
+    vec: np.ndarray
+
+    def __call__(self, psi: np.ndarray) -> None:
+        view = psi.transpose(self.fwd)
+        block = view.reshape(len(self.vec), 2, -1)
+        overlap = np.tensordot(self.vec.conj(), block, axes=(0, 0))  # shape (2, rest)
+        proj = self.vec[:, None, None] * overlap[None, :, :]
+        view[...] = (block - proj + proj[:, ::-1, :]).reshape(view.shape)
 
 
-def _apply_graph_flip(
-    amps: np.ndarray, m: int, vec: np.ndarray, proj_wires: Sequence[int], target: int
-) -> np.ndarray:
-    # Direct projector action: split off the component along `vec` on the
-    # projector wires and exchange it between the target's 0 and 1 branches.
-    r = len(proj_wires)
-    order = list(proj_wires) + [target]
-    psi = np.moveaxis(amps.reshape((2,) * m), order, range(r + 1))
-    tail = psi.shape[r + 1:]
-    block = psi.reshape(1 << r, 2, -1)
-    overlap = np.tensordot(vec.conj(), block, axes=(0, 0))  # shape (2, rest)
-    proj = vec[:, None, None] * overlap[None, :, :]
-    out = block - proj + proj[:, ::-1, :]
-    out = out.reshape((2,) * (r + 1) + tail)
-    return np.moveaxis(out, range(r + 1), order).reshape(-1)
+def _wires_first(wires: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
+    """Transpose order of a view whose axes are the qubits `axes`: the
+    positions of `wires` first, then the remaining positions in order."""
+    axes = list(axes)
+    rest = [i for i, q in enumerate(axes) if q not in wires]
+    return tuple(axes.index(w) for w in wires) + tuple(rest)
 
 
-def _apply_gate_kernel(amps: np.ndarray, m: int, g: Gate) -> np.ndarray:
-    kind = g.kind
-    if kind in FIXED_1Q:
-        return _apply_matrix(amps, m, FIXED_1Q[kind], g.qubits)
-    if kind == "RZ":
-        return _apply_matrix(amps, m, rz_matrix(g.theta), g.qubits)
-    if kind == "U1Q":
-        return _apply_matrix(amps, m, g.matrix, g.qubits)
-    if kind == "CZ":
-        psi = amps.reshape((2,) * m).copy()
-        sel: list = [slice(None)] * m
-        sel[g.qubits[0]] = 1
-        sel[g.qubits[1]] = 1
-        psi[tuple(sel)] *= -1.0
-        return psi.reshape(-1)
-    if kind == "CNOT":
-        return _apply_mcx(amps, m, g.controls, (1,), g.qubits[0])
-    if kind == "MCX":
-        return _apply_mcx(amps, m, g.controls, g.polarities, g.qubits[0])
-    if kind == "CU":
-        return _apply_controlled(amps, m, g.matrix, g.controls, g.qubits)
-    if kind == "GraphProjX":
+def compile_gate(g: Gate, m: int) -> _ControlledMatrix | _GraphFlip:
+    """The ready-to-run op for one gate on an m-qubit state.  An op acts in
+    place on a C-contiguous amplitude vector viewed as (2,)*m.
+
+    The gate is not validated here: callers check wiring and unitarity
+    once per job, before compiling.
+    """
+    if g.kind == "GraphProjX":
         vec = g.graph.state_vector()
-        proj_wires: tuple[int, ...] = g.controls
         if g.extra_zero is not None:
             vec = np.kron(vec, np.array([1.0, 0.0], dtype=complex))
-            proj_wires = g.controls + (g.extra_zero,)
-        return _apply_graph_flip(amps, m, vec, proj_wires, g.qubits[0])
-    raise ContractError(f"no kernel for gate kind {kind!r}")
+        # Canonical wire order: register, forced-zero qubit, target.
+        return _GraphFlip(_wires_first(g.wires, range(m)), vec)
+    controls, targets = g.controls, g.qubits
+    bits = g.polarities if g.kind == "MCX" else (1,) * len(controls)
+    if g.kind in FIXED_1Q:
+        mat = FIXED_1Q[g.kind]
+    elif g.kind == "RZ":
+        mat = rz_matrix(g.theta)
+    elif g.kind in ("U1Q", "CU"):
+        mat = g.matrix
+    elif g.kind == "CZ":
+        mat, controls, bits, targets = FIXED_1Q["Z"], g.qubits[:1], (1,), g.qubits[1:]
+    elif g.kind in ("CNOT", "MCX"):
+        mat = FIXED_1Q["X"]
+    else:
+        raise ContractError(f"no kernel for gate kind {g.kind!r}")
+    fire = dict(zip(controls, bits))
+    sel = tuple(fire.get(q, slice(None)) for q in range(m))
+    free = [q for q in range(m) if q not in fire]
+    return _ControlledMatrix(sel, _wires_first(targets, free), mat)
 
 
 def _rewire(gate: Gate, targets: Sequence[int] | None) -> Gate:
@@ -221,8 +216,11 @@ def apply_gate(state: PureState, gate: Gate, targets: Sequence[int] | None = Non
     _check_range(g, state.num_qubits)
     if g.matrix is not None:
         check_unitary(g.matrix)
-    amps = _apply_gate_kernel(state.amplitudes, state.num_qubits, g)
-    return PureState(state.num_qubits, amps)
+    m = state.num_qubits
+    # The op writes in place, and PureState shares the caller's array.
+    amps = state.amplitudes.copy()
+    compile_gate(g, m)(amps.reshape((2,) * m))
+    return PureState(m, amps)
 
 
 def evolve_density(

@@ -47,7 +47,7 @@ from .gadgets import (
     linear_pattern_target_probs,
     pattern_from_rotations,
 )
-from .qstate import PureState, _apply_gate_kernel, apply_gate
+from .qstate import PureState, apply_gate, compile_gate
 from .randcirc import random_circuit, random_dqc1, random_graph, random_unitary
 
 
@@ -196,13 +196,15 @@ def _branch_stats(gates: Sequence[Gate], target: np.ndarray) -> tuple[float, flo
     fidelity of that branch's register state with `target`."""
     half = target.size
     m = half.bit_length()
+    ops = [compile_gate(g, m) for g in gates]
     total_p = 0.0
     total_overlap = 0.0
     for b in range(half):
         amps = np.zeros(2 * half, dtype=complex)
         amps[b] = 1.0
-        for g in gates:
-            amps = _apply_gate_kernel(amps, m, g)
+        psi = amps.reshape((2,) * m)
+        for op in ops:
+            op(psi)
         branch = amps[half:]
         total_p += float(np.sum(np.abs(branch) ** 2))
         total_overlap += float(abs(np.vdot(target, branch)) ** 2)

@@ -368,3 +368,35 @@ def test_parse_postselect_requires_measured_bit():
     }
     with pytest.raises(ValidationError):
         parse_circuit(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("size", [2, 4], ids=["U1Q", "CU"])
+def test_check_unitary_rejects_non_finite_entries(bad, size):
+    mat = np.eye(size, dtype=complex)
+    mat[0, 0] = bad
+    with pytest.raises(UnitarityError):
+        check_unitary(mat)
+
+
+def test_parse_postselect_rejects_non_ascii_digit_keys():
+    doc = {
+        "total_qubits": 3,
+        "clean_qubits": [0],
+        "measure": [0, 2],
+        "gates": [],
+        "postselect": {"²": 1},
+    }
+    with pytest.raises(ParseError) as exc:
+        parse_circuit(json.dumps(doc))
+    assert "$.postselect" in str(exc.value)
+    doc["postselect"] = {"٢": 1}  # int() would read this as 2
+    with pytest.raises(ParseError):
+        parse_circuit(json.dumps(doc))
+
+
+def test_parse_rejects_overlong_integer_and_deep_nesting():
+    with pytest.raises(ParseError):
+        parse_circuit('{"total_qubits": ' + "9" * 5000 + "}")
+    with pytest.raises(ParseError):
+        parse_circuit("[" * 100_000 + "]" * 100_000)

@@ -357,3 +357,43 @@ def test_memory_error_exits_3(capsys, monkeypatch, coin_file):
     assert code == 3
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+# ---------------------------------------------------------------------------
+# malformed numbers and indices
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "gate",
+    [
+        '{"g": "U1Q", "q": [1], "u": [[[BAD, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+        '{"g": "CU", "q": [1], "c": [0], "u": [[[1, 0], [0, 0]], [[0, 0], [BAD, 0]]]}',
+    ],
+    ids=["U1Q", "CU"],
+)
+def test_run_non_finite_matrix_exits_2(capsys, tmp_path, gate, bad):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        '{"total_qubits": 2, "clean_qubits": [0], "measure": [0, 1], "gates": [%s]}'
+        % gate.replace("BAD", bad)
+    )
+    code, out, err = _run(capsys, ["run", "--circuit", str(path), "--shots", "100"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exact_non_ascii_digit_postselect_exits_2(capsys, bell_file):
+    code, out, err = _run(capsys, ["exact", "--circuit", bell_file, "--postselect", "²=1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --postselect: ") and err.count("\n") == 1
+
+
+def test_trace_has_no_density_cap_flag(tmp_path):
+    path = tmp_path / "id.json"
+    path.write_text(serialize_unitary(Circuit(2, ())))
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--unitary", str(path), "--density-cap", "1"])
+    assert exc.value.code == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim.circuits import Circuit, Dqc1Circuit, cnot, h, x
+from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, cnot, graph_proj_x, h, x
 from dqc1sim.config import DEFAULT_LIMITS, Limits
 from dqc1sim.engine import (
     PostselectionSpec,
@@ -35,25 +35,12 @@ def _plain(total, gates, clean=(0,), measured=None):
 
 def test_build_input_density_shape():
     dc = _plain(3, ())
-    rho = build_input(dc, form="density")
+    rho = build_input(dc)
     assert rho.entries.shape == (8, 8)
     diag = np.real(np.diag(rho.entries))
     # clean qubit 0 pinned to 0: only indices with MSB 0 are populated
     assert np.allclose(diag[:4], 0.25)
     assert np.allclose(diag[4:], 0.0)
-
-
-def test_build_input_mixture_weights():
-    dc = _plain(3, ())
-    mix = build_input(dc, form="mixture")
-    assert mix.size == 4
-    assert mix.weight == pytest.approx(0.25)
-    states = list(mix.basis_states())
-    assert len(states) == 4
-    # every basis state has the clean qubit at 0
-    for s in states:
-        idx = int(np.argmax(np.abs(s.amplitudes)))
-        assert idx < 4
 
 
 def test_build_input_validates():
@@ -65,7 +52,7 @@ def test_build_input_validates():
 def test_build_input_density_cap():
     dc = _plain(13, ())
     with pytest.raises(ResourceError):
-        build_input(dc, form="density")
+        build_input(dc)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +228,24 @@ def test_sample_bitstrings_match_outcomes():
     strings = list(rec.bitstrings())
     assert len(strings) == 50
     assert strings[0] == format(int(rec.outcomes[0]), "02b")
+
+
+# ---------------------------------------------------------------------------
+# compile once per job
+
+def test_graph_state_vector_built_once_per_job(monkeypatch):
+    calls = []
+    original = GraphSpec.state_vector
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GraphSpec, "state_vector", counted)
+    # One GraphProjX; 2^4 mixed-register basis states, all of them drawn.
+    gadget = graph_proj_x(GraphSpec(2, ((0, 1),)), (1, 2), 0, extra_zero=3)
+    dc = _plain(5, (h(1), gadget, h(4)), measured=(0, 4))
+    exact_distribution(dc, "mixture")
+    assert len(calls) == 1
+    sample(dc, 2000, seed=5)
+    assert len(calls) == 2

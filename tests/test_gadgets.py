@@ -334,3 +334,16 @@ def test_compilers_agree_with_target(angles):
     p = pattern_from_rotations(list(angles))
     assert reduction_conditional_tv(compile_n_plus_1(p)) < 1e-9
     assert reduction_conditional_tv(compile_three(p)) < 1e-9
+
+
+def test_pattern_parse_rejects_non_ascii_digit_angle_keys():
+    doc = {"graph": {"n": 3, "edges": [[0, 1]]}, "angles": {"0": 0.1, "²": 0.2}, "outputs": [2]}
+    with pytest.raises(ParseError) as exc:
+        parse_pattern(json.dumps(doc))
+    assert "$.angles" in str(exc.value)
+
+
+def test_pattern_parse_rejects_non_finite_angles():
+    doc = {"graph": {"n": 2, "edges": [[0, 1]]}, "angles": {"0": math.nan}, "outputs": [1]}
+    with pytest.raises(ParseError):
+        parse_pattern(json.dumps(doc))

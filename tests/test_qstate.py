@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, u1q, x
-from dqc1sim.circuits import GraphSpec
+from dqc1sim.circuits import Gate, GraphSpec
 from dqc1sim.errors import ContractError, ResourceError, UnitarityError
 from dqc1sim.qstate import (
     DensityMatrix,
@@ -233,3 +233,21 @@ def test_fidelity_phase_invariant():
 def test_apply_gate_rejects_non_unitary_matrix(gate):
     with pytest.raises(UnitarityError):
         apply_gate(PureState.zero(2), gate)
+
+
+_EVERY_KIND = [
+    h(0), x(1), Gate("Y", (2,)), Gate("Z", (0,)), Gate("S", (1,)), Gate("Sdg", (2,)),
+    t(0), Gate("Tdg", (1,)), rz(0.7, 2), u1q(random_unitary(np.random.default_rng(1), 2), 1),
+    cz(0, 2), cnot(2, 1), cu(random_unitary(np.random.default_rng(2), 4), (0, 2), (1,)),
+    mcx((0, 2), (0, 1), 1), graph_proj_x(GraphSpec(2, ((0, 1),)), (2, 0), 1),
+]
+
+
+@pytest.mark.parametrize("gate", _EVERY_KIND, ids=[g.kind for g in _EVERY_KIND])
+def test_apply_gate_leaves_input_untouched(gate):
+    # The compiled ops write in place; PureState shares the caller's array.
+    state = _random_state(29, 3)
+    before = state.amplitudes.copy()
+    out = apply_gate(state, gate)
+    assert np.array_equal(state.amplitudes, before)
+    assert np.allclose(out.amplitudes, gate_matrix(gate, 3) @ before)
