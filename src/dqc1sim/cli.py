@@ -21,7 +21,7 @@ from .analysis import (
     parse_distribution,
 )
 from .circuits import _index_field, parse_circuit, parse_unitary, serialize_circuit
-from .config import DEFAULT_LIMITS, DEFAULT_SEED, Limits
+from .config import DEFAULT_SEED
 from .engine import exact_distribution, sample
 from .errors import (
     ContractError,
@@ -67,20 +67,13 @@ def _parse_postselect(text: str) -> dict[int, int]:
     return assignments
 
 
-def _limits(args: argparse.Namespace) -> Limits:
-    cap = getattr(args, "density_cap", None)
-    if cap is None:
-        return DEFAULT_LIMITS
-    return Limits(density_cap=cap, exact_cap=max(cap, DEFAULT_LIMITS.exact_cap))
-
-
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     dc = parse_circuit(_read_text(args.circuit))
-    record = sample(dc, args.shots, args.seed, limits=_limits(args))
+    record = sample(dc, args.shots, args.seed)
     counts = {key: int(v) for key, v in record.counts().items()}
     _emit({"counts": counts, "shots": args.shots, "seed": args.seed})
     return EXIT_OK
@@ -88,27 +81,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     dc = parse_circuit(_read_text(args.circuit))
-    limits = _limits(args)
-    assignments = None
+    assignments = dict(dc.postselect) if dc.postselect else None
     if args.postselect is not None:
         assignments = _parse_postselect(args.postselect)
-    elif dc.postselect:
-        assignments = dict(dc.postselect)
-    if assignments is None:
-        dist = exact_distribution(dc, limits=limits)
+    dist = exact_distribution(dc)
+    doc = {}
+    if assignments is not None:
+        dist, event = dist.condition(assignments)
         doc = {
-            "measured": list(dist.measured_qubits),
-            "probs": dist.probs,
-        }
-    else:
-        joint = exact_distribution(dc, limits=limits)
-        dist, event = joint.condition(assignments)
-        doc = {
-            "measured": list(dist.measured_qubits),
-            "probs": dist.probs,
             "postselect": {str(q): b for q, b in sorted(assignments.items())},
             "postselection_probability": event,
         }
+    doc.update(measured=list(dist.measured_qubits), probs=dist.probs)
     _emit(doc)
     return EXIT_OK
 
@@ -202,13 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="sample a circuit file")
     run_p.add_argument("--circuit", required=True)
     add_common(run_p, shots_default=1024)
-    run_p.add_argument("--density-cap", type=int, default=None)
     run_p.set_defaults(func=cmd_run)
 
     exact_p = sub.add_parser("exact", help="exact measurement distribution")
     exact_p.add_argument("--circuit", required=True)
     exact_p.add_argument("--postselect", default=None, metavar="I=B,J=B")
-    exact_p.add_argument("--density-cap", type=int, default=None)
     exact_p.set_defaults(func=cmd_exact)
 
     trace_p = sub.add_parser("trace", help="estimate a unitary's normalized trace")

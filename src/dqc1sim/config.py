@@ -27,13 +27,13 @@ DEFAULT_SEED = 12345
 class Limits:
     """Size caps for the dense code paths.
 
-    density_cap bounds full density-matrix evolution and every full-matrix
-    oracle; exact_cap bounds exact distributions computed as the average
-    over the mixed-register basis, and the width of distribution documents.
-    report_cap bounds the measured qubits of a multiplicative-error report,
-    which builds all 2^k - 1 marginals.  Pure-state sampling has no cap
-    here and is limited only by memory: it holds one amplitude vector at a
-    time, run once per distinct mixed-register basis draw.
+    density_cap bounds only the dense oracle: density-matrix evolution and
+    everything else that builds a full 2^m x 2^m matrix.  exact_cap bounds
+    exact distributions, the average over the mixed-register basis, and
+    the width of distribution documents.  report_cap bounds the measured
+    qubits of a multiplicative-error report, which builds all 2^k - 1
+    marginals.  Pure-state sampling has no cap here and is limited only by
+    memory: it holds one block of amplitude vectors at a time.
     """
 
     density_cap: int = 12

@@ -2,12 +2,14 @@
 
 Inputs are always |0><0| on the clean qubits tensored with the maximally
 mixed state on the rest.  Exact distributions come from two independent
-routes: full density-matrix conjugation (dense oracle, capped) and the
-uniform average over mixed-register basis states, each run through the
-circuit compiled once into pure-state ops.  Sampling is per shot: draw a
-mixed-register basis state, run it pure, then draw the outcome, all from
-a counter-based random stream so a (seed, shot index) pair always yields
-the same shot.
+routes.  The default is the uniform average over mixed-register basis
+states, each run pure through the circuit compiled once into ops, in
+blocks of BLOCK_AMPLITUDES amplitudes: one pass of the ops runs every
+basis state of a block.  Full density-matrix conjugation is the dense
+oracle (capped), kept only to check the first route.  Sampling is per
+shot: draw a mixed-register basis state, run it pure, then draw the
+outcome, all from a counter-based random stream so a (seed, shot index)
+pair always yields the same shot; the distinct draws run in blocks too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .config import DEFAULT_LIMITS, Limits
 from .distributions import OutcomeDistribution
 from .errors import ContractError, ResourceError
 from .qstate import DensityMatrix, _outcome_weights, compile_gate, evolve_density
+
+# Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
+# states.  Larger blocks raise the sampler's peak memory, not its speed.
+BLOCK_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,17 @@ def _apply_gate_kernel(op, psi: np.ndarray) -> None:
     op(psi)
 
 
-def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, start: int) -> np.ndarray:
-    """Outcome weights of one pure run of the compiled ops from basis state `start`."""
+def _blocks(starts: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    rows = max(1, BLOCK_AMPLITUDES >> m)
+    return (starts[i : i + rows] for i in range(0, len(starts), rows))
+
+
+def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> np.ndarray:
+    """Outcome weights of pure runs of the compiled ops, one row per basis
+    state in `starts`; each row is bit-identical to a run of its state alone."""
     m = dc.total_qubits
-    amps = np.zeros(1 << m, dtype=complex)
-    amps[start] = 1.0
-    psi = amps.reshape((2,) * m)
+    amps = (starts[:, None] == np.arange(1 << m)).astype(complex)  # row r: basis state starts[r]
+    psi = amps.reshape((len(starts),) + (2,) * m)
     for op in ops:
         _apply_gate_kernel(op, psi)
     return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
@@ -101,29 +112,29 @@ def exact_distribution(
 ) -> OutcomeDistribution:
     """Exact joint distribution over the measured qubits.
 
-    method "density" evolves the full density matrix, "mixture" averages
-    pure runs over the mixed-register basis, "auto" prefers the density
-    route while it fits under the cap.  Both routes agree within 1e-10
-    and the test suite holds them to that.
+    method "mixture" averages pure runs over the mixed-register basis, in
+    blocks of basis states, at O(gates * 4^m) work; "auto" is the same
+    route.  "density" evolves the full density matrix through the dense
+    oracle at O(gates * 8^m) and serves only as the independent check.
+    Both routes agree within 1e-10 and the test suite holds them to that.
     """
     require_valid(dc)
     m = dc.total_qubits
-    if method == "auto":
-        method = "density" if m <= limits.density_cap else "mixture"
     if method == "density":
         rho = build_input(dc, limits=limits)
         for g in dc.gates:
             rho = evolve_density(rho, g, cap=limits.density_cap)
-        p = rho.entries.diagonal().real
-        weights = _outcome_weights(p, m, dc.measured)
-    elif method == "mixture":
+        weights = _outcome_weights(rho.entries.diagonal().real, m, dc.measured)[0]
+    elif method in ("auto", "mixture"):
         if m > limits.exact_cap:
             raise ResourceError(f"{m} qubits exceed the exact cap of {limits.exact_cap}")
         ops = [compile_gate(g, m) for g in dc.gates]
         size = 1 << len(dc.mixed_qubits)
         weights = np.zeros(1 << len(dc.measured))
-        for start in scatter_bits(np.arange(size), dc.mixed_qubits, m).tolist():
-            weights += _mixture_outcome_weights(dc, ops, start)
+        # Rows are added one at a time in start order, as by lone runs.
+        for block in _blocks(scatter_bits(np.arange(size), dc.mixed_qubits, m), m):
+            for row in _mixture_outcome_weights(dc, ops, block):
+                weights += row
         weights *= 1.0 / size
     else:
         raise ContractError(f"unknown method {method!r}")
@@ -175,10 +186,10 @@ def sample(
 
     Without postselection each shot draws a mixed-register basis state,
     runs it through the compiled pure-state ops and draws the outcome;
-    identical basis draws share one simulation.  With postselection baked
-    into the circuit, shots are drawn from the exact conditional
-    distribution and keep their full-length bitstrings (forced bits always
-    match).
+    identical basis draws share one simulation, and the distinct draws run
+    in blocks.  With postselection baked into the circuit, shots are drawn
+    from the exact conditional distribution and keep their full-length
+    bitstrings (forced bits always match).
     """
     require_valid(dc)
     if shots < 1:
@@ -195,15 +206,17 @@ def sample(
         size = 1 << len(dc.mixed_qubits)
         draws = (uniforms[:, 0] * size).astype(np.int64)
         np.clip(draws, 0, size - 1, out=draws)
+        uniforms = uniforms[:, 1].copy()  # frees room for the blocks
         values, counts = np.unique(draws, return_counts=True)
         order = np.argsort(draws, kind="stable")
         outcomes = draws  # grouped already; each shot's entry becomes its outcome
-        ops = [compile_gate(g, dc.total_qubits) for g in dc.gates]
-        starts = scatter_bits(values, dc.mixed_qubits, dc.total_qubits).tolist()
-        for start, group in zip(starts, np.split(order, np.cumsum(counts[:-1]))):
-            weights = _mixture_outcome_weights(dc, ops, start)
-            cdf = np.cumsum(np.maximum(weights, 0.0))
-            cdf[-1] = max(cdf[-1], 1.0)
-            outcomes[group] = np.searchsorted(cdf, uniforms[group, 1], side="right")
+        m = dc.total_qubits
+        ops = [compile_gate(g, m) for g in dc.gates]
+        groups = iter(np.split(order, np.cumsum(counts[:-1])))
+        for block in _blocks(scatter_bits(values, dc.mixed_qubits, m), m):
+            for weights, group in zip(_mixture_outcome_weights(dc, ops, block), groups):
+                cdf = np.cumsum(np.maximum(weights, 0.0))
+                cdf[-1] = max(cdf[-1], 1.0)
+                outcomes[group] = np.searchsorted(cdf, uniforms[group], side="right")
     np.clip(outcomes, 0, (1 << k) - 1, out=outcomes)
     return ShotRecord(dc.measured, outcomes, int(seed), shots)

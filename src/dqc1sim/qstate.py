@@ -7,11 +7,11 @@ controlled-matrix op: a 2^k x 2^k matrix on k target axes, applied on the
 view where the control axes read their firing bits (CZ is Z on its second
 qubit under the first, CNOT and MCX are X under controls).  GraphProjX
 becomes a projector flip.  Compiling evaluates each matrix, graph-state
-vector and index tuple once per job; the per-basis-state loops of the
-mixture route and the sampler then only run ops.  The density path
-deliberately goes the other way: it conjugates by the full gate matrix
-from the dense oracle, so the two routes stay independent and can check
-each other.
+vector and index tuple once per job.  An op runs a batch of states, so one
+pass covers a block of basis states, each rounded as if alone.  The
+density path deliberately goes the other way: it conjugates by the full
+gate matrix from the dense oracle, so the two routes stay independent and
+can check each other.
 
 Bit convention: qubit 0 is the most significant bit of a basis index and
 the leftmost character of every outcome bitstring.
@@ -48,7 +48,7 @@ class PureState:
                 f"{amps.size} amplitudes do not fit {self.num_qubits} qubits"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ContractError(f"squared norm {norm_sq} is off unity beyond {NORM_TOL}")
 
     @classmethod
@@ -85,10 +85,10 @@ class DensityMatrix:
         if self.num_qubits < 1 or mat.shape != (dim, dim):
             raise ContractError(f"entries of shape {mat.shape} do not fit {self.num_qubits} qubits")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise ContractError(f"hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ContractError(f"trace {tr} is off unity beyond {TRACE_TOL:.1e}")
 
     @classmethod
@@ -107,11 +107,11 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class _ControlledMatrix:
-    """`mat` on the leading axes of psi[sel].transpose(fwd).
+    """`mat` on the target axes of psi[sel].transpose(fwd), per state.
 
-    sel fixes every control axis to its firing bit and keeps the other axes
-    whole, so psi[sel] is a view; fwd puts its target axes first, the rest
-    in order.
+    sel keeps the batch axis, fixes every control axis to its firing bit
+    and keeps the other axes whole, so psi[sel] is a view; fwd keeps the
+    batch axis first, then puts the target axes, then the rest in order.
     """
 
     sel: tuple
@@ -120,25 +120,29 @@ class _ControlledMatrix:
 
     def __call__(self, psi: np.ndarray) -> None:
         view = psi[self.sel].transpose(self.fwd)
-        # Every axis has length 2, so the product reshapes to the view's shape.
-        view[...] = (self.mat @ view.reshape(len(self.mat), -1)).reshape(view.shape)
+        # One 2-D product per state, with a lone state's strides, so numpy
+        # takes the same BLAS or plain loop and rounds it as if alone.
+        stack = view.reshape(len(view), len(self.mat), -1)
+        view[...] = (self.mat @ stack).reshape(view.shape)
 
 
 @dataclass(frozen=True)
 class _GraphFlip:
     """Direct projector action of GraphProjX: split off the component along
-    `vec` on the leading axes of psi.transpose(fwd) and exchange it between
-    the 0 and 1 branches of the next axis, the target."""
+    `vec` on the leading axes of state.transpose(fwd) and exchange it
+    between the 0 and 1 branches of the next axis, the target.  State by
+    state, since tensordot's rounding depends on how many columns it gets."""
 
     fwd: tuple[int, ...]
     vec: np.ndarray
 
     def __call__(self, psi: np.ndarray) -> None:
-        view = psi.transpose(self.fwd)
-        block = view.reshape(len(self.vec), 2, -1)
-        overlap = np.tensordot(self.vec.conj(), block, axes=(0, 0))  # shape (2, rest)
-        proj = self.vec[:, None, None] * overlap[None, :, :]
-        view[...] = (block - proj + proj[:, ::-1, :]).reshape(view.shape)
+        for state in psi:
+            view = state.transpose(self.fwd)
+            block = view.reshape(len(self.vec), 2, -1)
+            overlap = np.tensordot(self.vec.conj(), block, axes=(0, 0))  # shape (2, rest)
+            proj = self.vec[:, None, None] * overlap[None, :, :]
+            view[...] = (block - proj + proj[:, ::-1, :]).reshape(view.shape)
 
 
 def _wires_first(wires: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
@@ -150,8 +154,9 @@ def _wires_first(wires: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
 
 
 def compile_gate(g: Gate, m: int) -> _ControlledMatrix | _GraphFlip:
-    """The ready-to-run op for one gate on an m-qubit state.  An op acts in
-    place on a C-contiguous amplitude vector viewed as (2,)*m.
+    """The ready-to-run op for one gate on m-qubit states.  An op acts in
+    place on a batch of B amplitude vectors viewed as (B,) + (2,)*m, one
+    C-contiguous state per index of the first axis.
 
     The gate is not validated here: callers check wiring and unitarity
     once per job, before compiling.
@@ -177,9 +182,10 @@ def compile_gate(g: Gate, m: int) -> _ControlledMatrix | _GraphFlip:
     else:
         raise ContractError(f"no kernel for gate kind {g.kind!r}")
     fire = dict(zip(controls, bits))
-    sel = tuple(fire.get(q, slice(None)) for q in range(m))
+    sel = (slice(None),) + tuple(fire.get(q, slice(None)) for q in range(m))
     free = [q for q in range(m) if q not in fire]
-    return _ControlledMatrix(sel, _wires_first(targets, free), mat)
+    fwd = (0,) + tuple(1 + i for i in _wires_first(targets, free))
+    return _ControlledMatrix(sel, fwd, mat)
 
 
 def _rewire(gate: Gate, targets: Sequence[int] | None) -> Gate:
@@ -219,7 +225,7 @@ def apply_gate(state: PureState, gate: Gate, targets: Sequence[int] | None = Non
     m = state.num_qubits
     # The op writes in place, and PureState shares the caller's array.
     amps = state.amplitudes.copy()
-    compile_gate(g, m)(amps.reshape((2,) * m))
+    compile_gate(g, m)(amps.reshape((1,) + (2,) * m))
     return PureState(m, amps)
 
 
@@ -237,9 +243,13 @@ def evolve_density(
 
 
 def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray:
-    """Fold a length-2^m probability vector onto the listed qubits."""
+    """Fold rows of 2^m probabilities onto the listed qubits, into rows of
+    2^k weights; one bincount adds each row in index order, as if alone."""
+    p = p.reshape(-1, 1 << m)
+    k = len(qubits)
     idx = gather_bits(np.arange(1 << m, dtype=np.int64), qubits, m)
-    return np.bincount(idx, weights=p, minlength=1 << len(qubits))
+    keys = (np.arange(len(p), dtype=np.int64)[:, None] << k) + idx
+    return np.bincount(keys.ravel(), weights=p.ravel(), minlength=len(p) << k).reshape(-1, 1 << k)
 
 
 def measure_probs(state: PureState | DensityMatrix, qubits: Sequence[int]) -> OutcomeDistribution:
@@ -260,7 +270,7 @@ def measure_probs(state: PureState | DensityMatrix, qubits: Sequence[int]) -> Ou
         p = state.probabilities()
     else:
         p = state.entries.diagonal().real
-    weights = _outcome_weights(p, state.num_qubits, qubits)
+    weights = _outcome_weights(p, state.num_qubits, qubits)[0]
     return OutcomeDistribution(qubits, np.maximum(weights, 0.0))
 
 

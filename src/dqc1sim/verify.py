@@ -196,18 +196,13 @@ def _branch_stats(gates: Sequence[Gate], target: np.ndarray) -> tuple[float, flo
     fidelity of that branch's register state with `target`."""
     half = target.size
     m = half.bit_length()
-    ops = [compile_gate(g, m) for g in gates]
-    total_p = 0.0
-    total_overlap = 0.0
-    for b in range(half):
-        amps = np.zeros(2 * half, dtype=complex)
-        amps[b] = 1.0
-        psi = amps.reshape((2,) * m)
-        for op in ops:
-            op(psi)
-        branch = amps[half:]
-        total_p += float(np.sum(np.abs(branch) ** 2))
-        total_overlap += float(abs(np.vdot(target, branch)) ** 2)
+    amps = np.eye(half, 2 * half, dtype=complex)  # one batch: row b starts in state b
+    psi = amps.reshape((half,) + (2,) * m)
+    for g in gates:
+        compile_gate(g, m)(psi)
+    branches = amps[:, half:]
+    total_p = float(np.sum(np.abs(branches) ** 2))
+    total_overlap = float(np.sum(np.abs(branches @ target.conj()) ** 2))
     return total_p / half, total_overlap / (total_p if total_p > 0 else 1.0)
 
 

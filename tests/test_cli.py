@@ -148,10 +148,11 @@ def test_exact_resource_cap_exits_3(capsys, tmp_path):
     assert "error" in err
 
 
-def test_exact_density_cap_flag(capsys, coin_file):
-    code, out, _ = _run(capsys, ["exact", "--circuit", coin_file, "--density-cap", "4"])
-    assert code == 0
-    assert json.loads(out)["probs"]["1"] == pytest.approx(0.5)
+@pytest.mark.parametrize("command", ["exact", "run"])
+def test_exact_and_run_have_no_density_cap_flag(command, coin_file):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--circuit", coin_file, "--density-cap", "4"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

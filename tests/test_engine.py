@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, cnot, graph_proj_x, h, x
+import dqc1sim.circuits
+import dqc1sim.engine
+import dqc1sim.qstate
+from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, cnot, cu, graph_proj_x, h, mcx, x
 from dqc1sim.config import DEFAULT_LIMITS, Limits
 from dqc1sim.engine import (
     PostselectionSpec,
@@ -22,7 +25,7 @@ from dqc1sim.errors import (
     ResourceError,
     ValidationError,
 )
-from dqc1sim.randcirc import random_dqc1
+from dqc1sim.randcirc import random_dqc1, random_unitary
 
 
 def _plain(total, gates, clean=(0,), measured=None):
@@ -89,7 +92,7 @@ def test_density_method_respects_cap():
     dc = _plain(13, (), measured=(0,))
     with pytest.raises(ResourceError):
         exact_distribution(dc, "density")
-    # auto falls back to the mixture route instead
+    # auto takes the mixture route, which the density cap does not bound
     d = exact_distribution(dc, "auto")
     assert d.prob("0") == pytest.approx(1.0)
 
@@ -249,3 +252,79 @@ def test_graph_state_vector_built_once_per_job(monkeypatch):
     assert len(calls) == 1
     sample(dc, 2000, seed=5)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# routes and blocks
+
+def _route_circuit(seed, m, postselect=False, clean=None):
+    """A seeded random circuit on m qubits followed by one MCX, one CU and
+    GraphProjX gates without and (from m = 4) with a forced-zero qubit."""
+    rng = np.random.default_rng(seed)
+    clean = 1 + m % 2 if clean is None else clean
+    base = random_dqc1(rng, m, 12, clean_count=clean, measured_count=min(m, 3))
+    extra = [
+        mcx((0,), (0,), m - 1),
+        cu(random_unitary(rng, 2), (0,), (m - 1,)),
+        graph_proj_x(GraphSpec(1, ()), (m - 1,), 0),
+    ]
+    if m >= 3:
+        pair = GraphSpec(2, ((0, 1),))
+        extra.append(graph_proj_x(pair, (1, 2), 0, extra_zero=None if m == 3 else 3))
+    if m >= 4:
+        extra.append(graph_proj_x(GraphSpec(1, ()), (m - 1,), 1, extra_zero=2))
+    circuit = Circuit(m, base.circuit.gates + tuple(extra))
+    dc = Dqc1Circuit(circuit, base.clean_qubits, base.measured)
+    if postselect:
+        first = exact_distribution(dc).marginal((dc.measured[0],))
+        bit = int(first.pmf[1] >= 0.5)  # the likelier bit, so the event is possible
+        dc = Dqc1Circuit(circuit, dc.clean_qubits, dc.measured, postselect={dc.measured[0]: bit})
+    return dc
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("this route must not call me")
+
+
+def test_auto_never_calls_the_dense_oracle(monkeypatch):
+    dc = _route_circuit(5, 5, postselect=True)
+    monkeypatch.setattr(dqc1sim.engine, "evolve_density", _raise)
+    monkeypatch.setattr(dqc1sim.qstate, "gate_matrix", _raise)
+    monkeypatch.setattr(dqc1sim.circuits, "gate_matrix", _raise)
+    exact_distribution(dc)
+    conditional_distribution(dc, dc.postselect)
+    sample(dc, 100, seed=1)
+
+
+def test_density_never_runs_the_pure_kernels(monkeypatch):
+    dc = _route_circuit(6, 5)
+    monkeypatch.setattr(dqc1sim.engine, "_apply_gate_kernel", _raise)
+    exact_distribution(dc, "density")
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("postselect", [False, True])
+def test_auto_is_the_mixture_route_and_matches_the_oracle(m, postselect):
+    dc = _route_circuit(100 + m, m, postselect)
+    routes = [exact_distribution]
+    if postselect:
+        routes.append(lambda dc, method: conditional_distribution(dc, dc.postselect, method))
+    for route in routes:
+        auto, mixture, density = (route(dc, way) for way in ("auto", "mixture", "density"))
+        assert auto.pmf.tobytes() == mixture.pmf.tobytes()
+        assert np.max(np.abs(auto.pmf - density.pmf)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", range(2, 9))
+def test_blocks_match_one_basis_state_per_block(m, seed, monkeypatch):
+    # Small states matter most: there numpy picks its product loop by the
+    # strides of each reshaped view, which a batch must not change.
+    dc = _route_circuit(200 + 10 * seed + m, m, clean=1)
+    rows = 3  # from m = 3 on: several blocks, the last one partial
+    assert (1 << len(dc.mixed_qubits)) % rows != 0
+    monkeypatch.setattr(dqc1sim.engine, "BLOCK_AMPLITUDES", 1)
+    lone = exact_distribution(dc).pmf.tobytes(), sample(dc, 2000, seed=m).outcomes.tobytes()
+    monkeypatch.setattr(dqc1sim.engine, "BLOCK_AMPLITUDES", rows << m)
+    blocked = exact_distribution(dc).pmf.tobytes(), sample(dc, 2000, seed=m).outcomes.tobytes()
+    assert blocked == lone

@@ -34,6 +34,12 @@ def test_pure_state_normalization_enforced():
         PureState(1, np.array([1.0, 1.0], dtype=complex))
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, complex(0.0, np.nan)]])
+def test_pure_state_rejects_nan_amplitudes(amps):
+    with pytest.raises(ContractError):
+        PureState(1, np.array(amps, dtype=complex))
+
+
 def test_pure_state_basis():
     st2 = PureState.basis(2, 0b10)
     assert st2.amplitudes[0b10] == 1.0
@@ -49,6 +55,18 @@ def test_density_requires_hermitian():
 def test_density_requires_unit_trace():
     with pytest.raises(ContractError):
         DensityMatrix(1, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[np.nan, 0.0], [0.0, 0.5]],  # NaN trace and NaN hermiticity residual
+        [[0.5, np.nan], [np.nan, 0.5]],  # unit trace, NaN hermiticity residual
+    ],
+)
+def test_density_rejects_nan_entries(entries):
+    with pytest.raises(ContractError):
+        DensityMatrix(1, np.array(entries, dtype=complex))
 
 
 def test_density_psd_check_is_explicit():
