@@ -5,10 +5,12 @@ Draws random comparable distribution pairs, computes the minimal c over
 the joint, then conditions on one bit and reports where the conditional
 ratio lands inside the theoretical [1/c^2, c^2] band.  The last block
 builds a pair engineered to sit at the top of the band, which the checker
-must flag as tight.
+must flag as tight.  The exit status is 1 when a random pair fails its
+bounds or the engineered pair is not flagged.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -27,7 +29,7 @@ def random_pair(rng: np.random.Generator, k: int):
     return p, q
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=10)
     ap.add_argument("--qubits", type=int, default=3)
@@ -35,11 +37,13 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
+    failed = 0
     print(f"{'c':>7}  {'c^2':>7}  {'max ratio':>9}  {'min ratio':>9}  band use")
     for _ in range(args.trials):
         p, q = random_pair(rng, args.qubits)
         c = minimal_multiplicative_error(p, q)
         report = check_conditional_bounds(p, q, {0: 0}, c)
+        failed += not report.passed
         use = max(report.max_ratio / (c * c), (1 / (c * c)) / report.min_ratio)
         print(
             f"{c:>7.4f}  {c * c:>7.4f}  {report.max_ratio:>9.4f}  "
@@ -62,7 +66,8 @@ def main() -> None:
         f"engineered pair: max ratio {report.max_ratio:.12f} vs c^2 = 4, "
         f"tight={report.tight} ({'ok' if report.tight else 'BROKEN'})"
     )
+    return 0 if report.tight and not failed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,9 +5,11 @@ For random rotation lists the pattern's postselected branch distribution
 is computed directly from 2x2 products, then compared against the exact
 conditional output of the compiled circuits.  Event probabilities are
 checked against their closed forms 2^-n * 2^-(n-1) and 2^-(n+1) * 2^-(n-1).
+The exit status is 1 when any residual exceeds 1e-9.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from dqc1sim.gadgets import compile_n_plus_1, compile_three, pattern_from_rotati
 from dqc1sim.verify import reduction_conditional_tv, reduction_event_probability
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=8)
     ap.add_argument("--max-rotations", type=int, default=4)
@@ -41,8 +43,10 @@ def main() -> None:
             print(
                 f"{count:>9}  {mode:>5}  {tv:>12.3e}  {event:>10.3e}  {closed:>11.3e}"
             )
-    print(f"worst residual {worst:.3e} ({'ok' if worst <= 1e-9 else 'BROKEN'})")
+    ok = worst <= 1e-9
+    print(f"worst residual {worst:.3e} ({'ok' if ok else 'BROKEN'})")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

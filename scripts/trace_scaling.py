@@ -4,10 +4,11 @@
 Draws one random circuit, computes the exact normalized trace, then runs
 the estimator at increasing shot counts.  The reported error should fall
 roughly as 1/sqrt(shots) and stay inside the 5 sigma band checked at the
-bottom.
+bottom; the exit status is 1 when it does not.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from dqc1sim.circuits import circuit_matrix
 from dqc1sim.randcirc import random_circuit
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--qubits", type=int, default=4)
     ap.add_argument("--gates", type=int, default=12)
@@ -43,8 +44,10 @@ def main() -> None:
             f"{est.stderr:>8.5f}  {err:>8.5f}  {pulls:.2f} sigma"
         )
 
-    print(f"worst pull {worst:.2f} sigma ({'ok' if worst <= 5 else 'SUSPICIOUS'})")
+    ok = worst <= 5
+    print(f"worst pull {worst:.2f} sigma ({'ok' if ok else 'SUSPICIOUS'})")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

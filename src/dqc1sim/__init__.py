@@ -46,13 +46,11 @@ from .circuits import (
 from .config import DEFAULT_LIMITS, DEFAULT_SEED, Limits
 from .distributions import OutcomeDistribution
 from .engine import (
-    PostselectionSpec,
     ShotRecord,
     all_zeros_probability,
     build_input,
     conditional_distribution,
     exact_distribution,
-    marginal,
     sample,
 )
 from .errors import (

@@ -22,7 +22,7 @@ from .bits import bitstring
 from .circuits import Circuit, Dqc1Circuit, _loads, _number_field, circuit_matrix
 from .config import DEFAULT_LIMITS, DEFAULT_SEED, ZERO_PROB_TOL, Limits
 from .distributions import OutcomeDistribution
-from .engine import PostselectionSpec, _as_assignments, conditional_distribution, sample
+from .engine import conditional_distribution, sample
 from .errors import ContractError, ParseError, ResourceError
 from .gadgets import build_trace_circuit
 
@@ -181,7 +181,7 @@ class ConditionalBoundsReport:
 def check_conditional_bounds(
     p_joint: OutcomeDistribution,
     q_joint: OutcomeDistribution,
-    ps: PostselectionSpec | Mapping[int, int],
+    ps: Mapping[int, int],
     c: float,
 ) -> ConditionalBoundsReport:
     """Verify that conditioning on `ps` keeps q within a factor c^2 of p.
@@ -193,12 +193,11 @@ def check_conditional_bounds(
     """
     if c < 1.0:
         raise ContractError(f"c must be at least 1, got {c}")
-    assignments = _as_assignments(ps)
     joint_c = minimal_multiplicative_error(p_joint, q_joint)
     comparable = joint_c is not INCOMPARABLE and joint_c <= c * (1.0 + _REL_SLACK)
 
-    p_cond, _ = p_joint.condition(assignments)
-    q_cond = _aligned(p_cond, q_joint.condition(assignments)[0])
+    p_cond, _ = p_joint.condition(ps)
+    q_cond = _aligned(p_cond, q_joint.condition(ps)[0])
     k = len(p_cond.measured_qubits)
     p_zero = p_cond.pmf <= ZERO_PROB_TOL
     mismatch = np.flatnonzero(p_zero != (q_cond.pmf <= ZERO_PROB_TOL))
@@ -243,7 +242,7 @@ class AcceptanceVerdict:
 
 def classify_acceptance(
     dc: Dqc1Circuit,
-    ps: PostselectionSpec | Mapping[int, int],
+    ps: Mapping[int, int],
     output: int,
     delta: float,
     limits: Limits = DEFAULT_LIMITS,
@@ -256,12 +255,11 @@ def classify_acceptance(
     """
     if not 0.0 < delta < 0.5:
         raise ContractError(f"delta must lie strictly between 0 and 1/2, got {delta}")
-    assignments = _as_assignments(ps)
-    if output in assignments:
+    if output in ps:
         raise ContractError(f"output qubit {output} is postselected")
     if output not in dc.measured:
         raise ContractError(f"output qubit {output} is not measured")
-    cond = conditional_distribution(dc, assignments, limits=limits)
+    cond = conditional_distribution(dc, ps, limits=limits)
     p1 = float(cond.marginal((output,)).pmf[1])
     if p1 >= 0.5 + delta:
         verdict = "in-language"

@@ -11,15 +11,6 @@ from typing import Sequence
 import numpy as np
 
 
-def bit_of(index: int, qubit: int, num_qubits: int) -> int:
-    return (index >> (num_qubits - 1 - qubit)) & 1
-
-
-def set_bit(index: int, qubit: int, num_qubits: int, value: int) -> int:
-    mask = 1 << (num_qubits - 1 - qubit)
-    return (index | mask) if value else (index & ~mask)
-
-
 def bitstring(index: int, width: int) -> str:
     return format(index, f"0{width}b")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .analysis import (
@@ -99,16 +100,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     u = parse_unitary(_read_text(args.unitary))
-    est = estimate_trace(u, args.part, shots=args.shots, seed=args.seed)
-    _emit(
-        {
-            "normalized_trace_part": est.normalized_trace_part,
-            "stderr": est.stderr,
-            "shots": est.shots,
-            "part": est.part,
-            "seed": est.seed,
-        }
-    )
+    _emit(asdict(estimate_trace(u, args.part, shots=args.shots, seed=args.seed)))
     return EXIT_OK
 
 
@@ -155,16 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "suite": args.suite,
         "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }
     _emit(doc)
     for r in results:

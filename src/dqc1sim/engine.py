@@ -3,7 +3,8 @@
 Inputs are always |0><0| on the clean qubits tensored with the maximally
 mixed state on the rest.  Exact distributions come from two independent
 routes.  The default is the uniform average over mixed-register basis
-states, each run pure through the circuit compiled once into ops, in
+states, each run pure through the circuit compiled once into ops, one per
+fused block of at most qstate.FUSE_WIRES wires.  The basis states run in
 blocks of BLOCK_AMPLITUDES amplitudes: one pass of the ops runs every
 basis state of a block.  Full density-matrix conjugation is the dense
 oracle (capped), kept only to check the first route.  Sampling is per
@@ -24,29 +25,11 @@ from .circuits import Dqc1Circuit, require_valid
 from .config import DEFAULT_LIMITS, Limits
 from .distributions import OutcomeDistribution
 from .errors import ContractError, ResourceError
-from .qstate import DensityMatrix, _outcome_weights, compile_gate, evolve_density
+from .qstate import DensityMatrix, _outcome_weights, compile_circuit, evolve_density
 
 # Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
 # states.  Larger blocks raise the sampler's peak memory, not its speed.
 BLOCK_AMPLITUDES = 1 << 14
-
-
-@dataclass(frozen=True)
-class PostselectionSpec:
-    """Required bits for a subset of the measured qubits."""
-
-    assignments: dict[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "assignments", {int(q): int(b) for q, b in self.assignments.items()}
-        )
-
-
-def _as_assignments(ps: "PostselectionSpec | Mapping[int, int]") -> dict[int, int]:
-    if isinstance(ps, PostselectionSpec):
-        return dict(ps.assignments)
-    return {int(q): int(b) for q, b in ps.items()}
 
 
 @dataclass(eq=False)
@@ -128,7 +111,7 @@ def exact_distribution(
     elif method in ("auto", "mixture"):
         if m > limits.exact_cap:
             raise ResourceError(f"{m} qubits exceed the exact cap of {limits.exact_cap}")
-        ops = [compile_gate(g, m) for g in dc.gates]
+        ops = compile_circuit(dc.gates, m)
         size = 1 << len(dc.mixed_qubits)
         weights = np.zeros(1 << len(dc.measured))
         # Rows are added one at a time in start order, as by lone runs.
@@ -143,19 +126,15 @@ def exact_distribution(
 
 def conditional_distribution(
     dc: Dqc1Circuit,
-    ps: PostselectionSpec | Mapping[int, int],
+    ps: Mapping[int, int],
     method: str = "auto",
     limits: Limits = DEFAULT_LIMITS,
 ) -> OutcomeDistribution:
     """Exact distribution over the non-postselected measured qubits, given
     that every postselected qubit read its required bit."""
     joint = exact_distribution(dc, method=method, limits=limits)
-    conditioned, _ = joint.condition(_as_assignments(ps))
+    conditioned, _ = joint.condition(ps)
     return conditioned
-
-
-def marginal(d: OutcomeDistribution, subset: Sequence[int]) -> OutcomeDistribution:
-    return d.marginal(subset)
 
 
 def all_zeros_probability(
@@ -211,7 +190,7 @@ def sample(
         order = np.argsort(draws, kind="stable")
         outcomes = draws  # grouped already; each shot's entry becomes its outcome
         m = dc.total_qubits
-        ops = [compile_gate(g, m) for g in dc.gates]
+        ops = compile_circuit(dc.gates, m)
         groups = iter(np.split(order, np.cumsum(counts[:-1])))
         for block in _blocks(scatter_bits(values, dc.mixed_qubits, m), m):
             for weights, group in zip(_mixture_outcome_weights(dc, ops, block), groups):

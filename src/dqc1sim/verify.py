@@ -47,7 +47,7 @@ from .gadgets import (
     linear_pattern_target_probs,
     pattern_from_rotations,
 )
-from .qstate import PureState, apply_gate, compile_gate
+from .qstate import PureState, apply_gate, compile_circuit
 from .randcirc import random_circuit, random_dqc1, random_graph, random_unitary
 
 
@@ -198,8 +198,8 @@ def _branch_stats(gates: Sequence[Gate], target: np.ndarray) -> tuple[float, flo
     m = half.bit_length()
     amps = np.eye(half, 2 * half, dtype=complex)  # one batch: row b starts in state b
     psi = amps.reshape((half,) + (2,) * m)
-    for g in gates:
-        compile_gate(g, m)(psi)
+    for op in compile_circuit(gates, m):
+        op(psi)
     branches = amps[:, half:]
     total_p = float(np.sum(np.abs(branches) ** 2))
     total_overlap = float(np.sum(np.abs(branches @ target.conj()) ** 2))

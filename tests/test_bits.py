@@ -1,26 +1,27 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1sim.bits import bit_of, bitstring, gather_bits, scatter_bits, set_bit
+from dqc1sim.bits import bitstring, gather_bits, scatter_bits
 
 
 def test_bit_of_msb_convention():
     # qubit 0 is the most significant bit
-    assert bit_of(0b100, 0, 3) == 1
-    assert bit_of(0b100, 1, 3) == 0
-    assert bit_of(0b100, 2, 3) == 0
-    assert bit_of(0b001, 2, 3) == 1
+    assert gather_bits(0b100, (0,), 3) == 1
+    assert gather_bits(0b100, (1,), 3) == 0
+    assert gather_bits(0b100, (2,), 3) == 0
+    assert gather_bits(0b001, (2,), 3) == 1
 
 
 def test_bitstring_matches_bit_of():
     s = bitstring(0b01101, 5)
     assert s == "01101"
-    assert all(int(s[q]) == bit_of(0b01101, q, 5) for q in range(5))
+    assert all(int(s[q]) == gather_bits(0b01101, (q,), 5) for q in range(5))
 
 
 def test_set_bit():
-    assert set_bit(0, 0, 3, 1) == 0b100
-    assert set_bit(0b111, 1, 3, 0) == 0b101
+    # scatter_bits places bits on the listed qubits and leaves the rest 0
+    assert scatter_bits(1, (0,), 3) == 0b100
+    assert scatter_bits(0b11, (0, 2), 3) == 0b101
 
 
 def test_gather_bits_order():

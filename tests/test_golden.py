@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dqc1sim import cli
-from dqc1sim.circuits import Dqc1Circuit, serialize_circuit, serialize_unitary
+from dqc1sim.circuits import Dqc1Circuit, parse_circuit, serialize_circuit, serialize_unitary
 from dqc1sim.cli import main
 from dqc1sim.engine import exact_distribution
 from dqc1sim.gadgets import compile_three, pattern_from_rotations, serialize_pattern
@@ -89,7 +89,7 @@ CASES = {
     ),
     "exact-plain": (
         lambda: ["exact", "--circuit", _plain_circuit()],
-        "8c5d649a8b64305a5aff1c0d50e8900b860e7518da764046ce70af0c37bbec29",
+        "c7546f86d14e69db5bfb9bb11fef928a53b58d485366582a8930f7e9afef570b",
     ),
     "exact-postselect": (
         lambda: ["exact", "--circuit", _postselect_circuit(), "--postselect", "0=1,3=0"],
@@ -152,3 +152,13 @@ def test_golden_density_oracle(name, tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DENSITY_CASES[name], out
+
+
+def test_golden_exact_circuits_match_the_oracle(tmp_path, monkeypatch):
+    # The fused route's pmfs differ from the oracle's only in the last bits.
+    monkeypatch.chdir(tmp_path)
+    for make in (_plain_circuit, _postselect_circuit):
+        with open(make(), encoding="utf-8") as fh:
+            dc = parse_circuit(fh.read())
+        fused, dense = (exact_distribution(dc, way).pmf for way in ("auto", "density"))
+        assert np.max(np.abs(fused - dense)) <= 1e-12

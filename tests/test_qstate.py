@@ -5,18 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqc1sim.engine
 from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, u1q, x
-from dqc1sim.circuits import Gate, GraphSpec
+from dqc1sim.circuits import Circuit, Dqc1Circuit, Gate, GraphSpec, check_unitary
+from dqc1sim.engine import conditional_distribution, exact_distribution
 from dqc1sim.errors import ContractError, ResourceError, UnitarityError
+from dqc1sim.gadgets import build_trace_circuit, compile_three, pattern_from_rotations
 from dqc1sim.qstate import (
+    FUSE_WIRES,
     DensityMatrix,
     PureState,
     apply_gate,
+    compile_circuit,
+    compile_gate,
     evolve_density,
     fidelity,
+    fuse_blocks,
     measure_probs,
 )
-from dqc1sim.randcirc import random_circuit, random_unitary
+from dqc1sim.randcirc import random_circuit, random_dqc1, random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -269,3 +276,140 @@ def test_apply_gate_leaves_input_untouched(gate):
     out = apply_gate(state, gate)
     assert np.array_equal(state.amplitudes, before)
     assert np.allclose(out.amplitudes, gate_matrix(gate, 3) @ before)
+
+
+# ---------------------------------------------------------------------------
+# fusion into blocks of at most FUSE_WIRES wires
+
+def _fusion_circuit(seed, m, postselect=False):
+    """A seeded random DQC1 circuit on m qubits with the composite gates
+    that fusion must handle spliced in at random places: an MCX wider than
+    FUSE_WIRES (from m = 5), a CU with two targets and two controls (from
+    m = 4) and GraphProjX gates without and (from m = 3) with a forced-zero
+    qubit.  With `postselect`, the first measured qubit is postselected on
+    its likelier bit."""
+    rng = np.random.default_rng(seed)
+    base = random_dqc1(rng, m, 16, clean_count=1 + m % 2, measured_count=min(m, 3))
+    extra = [graph_proj_x(GraphSpec(1, ()), (m - 1,), 0)]
+    if m >= 3:
+        extra.append(graph_proj_x(GraphSpec(1, ()), (0,), 1, extra_zero=2))
+    if m >= 4:
+        extra.append(cu(random_unitary(rng, 4), (2, 3), (0, 1)))
+    if m >= 5:
+        wires = [int(q) for q in rng.permutation(m)[:FUSE_WIRES + 1]]
+        extra.append(mcx(wires[:-1], (1, 0) * (FUSE_WIRES // 2), wires[-1]))
+    gates = list(base.circuit.gates)
+    for g in extra:
+        gates.insert(int(rng.integers(len(gates) + 1)), g)
+    dc = Dqc1Circuit(Circuit(m, tuple(gates)), base.clean_qubits, base.measured)
+    if postselect:
+        first = exact_distribution(dc, "density").marginal((dc.measured[0],))
+        bit = int(first.pmf[1] >= 0.5)
+        dc = Dqc1Circuit(dc.circuit, dc.clean_qubits, dc.measured, postselect={dc.measured[0]: bit})
+    return dc
+
+
+@given(st.integers(0, 10_000), st.integers(2, 9), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_fused_exact_matches_the_density_oracle(seed, m, postselect):
+    dc = _fusion_circuit(seed, m, postselect)
+    fused, dense = (exact_distribution(dc, way) for way in ("auto", "density"))
+    assert np.max(np.abs(fused.pmf - dense.pmf)) <= 1e-12
+    if postselect:
+        fused, dense = (conditional_distribution(dc, dc.postselect, way) for way in ("auto", "density"))
+        assert np.max(np.abs(fused.pmf - dense.pmf)) <= 1e-12
+
+
+@given(st.integers(0, 10_000), st.integers(2, 9))
+@settings(max_examples=60, deadline=None)
+def test_fuse_blocks_keeps_wire_order_and_isolates_wide_gates(seed, m):
+    gates = _fusion_circuit(seed, m).circuit.gates
+    blocks = fuse_blocks(gates)
+    index = {id(g): i for i, g in enumerate(gates)}
+    order = [index[id(g)] for block in blocks for g in block]
+    assert sorted(order) == list(range(len(gates)))
+    for w in range(m):
+        on_wire = [i for i in order if w in gates[i].wires]
+        assert on_wire == sorted(on_wire)
+    for block in blocks:
+        span = {w for g in block for w in g.wires}
+        assert len(span) <= FUSE_WIRES or len(block) == 1
+    wide = [g for g in gates if len(g.wires) > FUSE_WIRES]
+    assert [b for b in blocks if b[0] in wide] == [[g] for g in wide]
+
+
+def test_fuse_blocks_moves_a_gate_back_past_other_wires():
+    # h(5) shares no wire with the wide MCX, so it joins the first block;
+    # the last h(0) must stay after the MCX.
+    gates = [h(0), cnot(0, 1), mcx((0, 1, 2, 3), (1, 1, 1, 1), 4), h(5), h(0)]
+    blocks = fuse_blocks(gates)
+    assert [len(b) for b in blocks] == [3, 1, 1]
+    assert blocks[0][2] is gates[3] and blocks[1] == [gates[2]]
+
+
+def _per_gate_ops(gates, m):
+    return [compile_gate(g, m) for g in gates]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_small_circuit_is_one_op_with_per_gate_bytes(seed, monkeypatch):
+    rng = np.random.default_rng(300 + seed)
+    m = 1 + seed % FUSE_WIRES
+    dc = random_dqc1(rng, m, 10, measured_count=m)
+    assert len(compile_circuit(dc.gates, m)) == 1
+    fused = exact_distribution(dc).pmf.tobytes()
+    monkeypatch.setattr(dqc1sim.engine, "compile_circuit", _per_gate_ops)
+    assert exact_distribution(dc).pmf.tobytes() == fused
+
+
+def _fused_ops(gates, m):
+    return [
+        op for op, block in zip(compile_circuit(gates, m), fuse_blocks(gates)) if len(block) > 1
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_matrices_are_unitary(seed):
+    rng = np.random.default_rng(400 + seed)
+    circuits = [
+        _fusion_circuit(400 + seed, 3 + seed),
+        build_trace_circuit(random_circuit(rng, 3 + seed % 3, 20)),
+        compile_three(pattern_from_rotations(list(rng.uniform(-3, 3, size=2 + seed % 3)))).circuit,
+    ]
+    for dc in circuits:
+        ops = _fused_ops(dc.gates, dc.total_qubits)
+        assert ops
+        for op in ops:
+            check_unitary(op.mat)
+
+
+def test_block_peels_a_shared_control():
+    u = random_unitary(np.random.default_rng(5), 4)
+    (op,) = compile_circuit([cnot(1, 2), cu(u, (2, 3), (1,))], 5)
+    assert op.sel == (slice(None), slice(None), 1) + (slice(None),) * 3
+    assert op.mat.shape == (4, 4)
+    assert np.array_equal(op.mat, u @ np.kron(gate_matrix(x(0), 1), np.eye(2)))
+    # A triangular (not unitary) first gate keeps either the rows or the
+    # columns where wire 0 reads 0 those of the identity, but moves
+    # amplitude between 0 and 1 on that wire: it is no control.
+    for leak in (np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([[1.0, 0.5], [0.0, 1.0]])):
+        (op,) = compile_circuit([Gate("U1Q", (0,), matrix=leak), cu(u, (1, 2), (0,))], 3)
+        assert op.sel == (slice(None),) * 4 and op.mat.shape == (8, 8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_circuit_peels_the_clean_wire(seed):
+    u = random_circuit(np.random.default_rng(500 + seed), 6, 40)
+    dc = build_trace_circuit(u)
+    blocks = fuse_blocks(dc.gates)
+    ops = compile_circuit(dc.gates, dc.total_qubits)
+    # A fused block whose gates all fire on the clean wire 0 runs only on
+    # the half of each state where that wire reads 1.
+    controlled = [
+        op for op, block in zip(ops, blocks)
+        if len(block) > 1 and all(0 in g.controls for g in block)
+    ]
+    assert controlled
+    for op in controlled:
+        assert op.sel[1] == 1
+        assert len(op.mat) <= 1 << (FUSE_WIRES - 1)
