@@ -101,14 +101,21 @@ def frobenius_block_norm(u: Circuit, k: int, limits: Limits = DEFAULT_LIMITS) ->
 # ---------------------------------------------------------------------------
 # multiplicative-error calculus
 
-def _pair_c(p: np.ndarray, q: np.ndarray):
+def _row_cs(p: np.ndarray, q: np.ndarray):
+    """The minimal c of each row pair of p and q, or INCOMPARABLE when any
+    row has an outcome that exactly one side gives zero probability."""
     p_zero = p <= ZERO_PROB_TOL
-    q_zero = q <= ZERO_PROB_TOL
-    if np.any(p_zero != q_zero):
+    if np.any(p_zero != (q <= ZERO_PROB_TOL)):
         return INCOMPARABLE
     live = ~p_zero
-    pv, qv = p[live], q[live]
-    return max(1.0, float(np.max(pv / qv)), float(np.max(qv / pv)))
+    pq = np.divide(p, q, out=np.zeros_like(p), where=live).max(axis=1)
+    qp = np.divide(q, p, out=np.zeros_like(p), where=live).max(axis=1)
+    return np.maximum(np.maximum(pq, qp), 1.0)
+
+
+def _pair_c(p: np.ndarray, q: np.ndarray):
+    c = _row_cs(p[None], q[None])
+    return c if c is INCOMPARABLE else float(c[0])
 
 
 def _same_qubits(p: OutcomeDistribution, q: OutcomeDistribution) -> None:
@@ -140,27 +147,104 @@ class MultiplicativeErrorReport:
     worst_c: float
 
 
+# Joint entries gathered per pass of the error report, as many as
+# engine.BLOCK_AMPLITUDES.
+REPORT_CHUNK = 1 << 14
+
+
+def _place_values(in_subset: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Place values, in one side's joint index, of each subset's summed
+    qubits in that side's own order and of its kept qubits in the
+    subset's order.  Row s of `in_subset` marks subset s over p's qubits;
+    p's i-th qubit is the side's pos[i]-th."""
+    s, k = in_subset.shape
+    own = np.zeros_like(in_subset)
+    own[:, pos] = in_subset
+    place = 1 << np.arange(k - 1, -1, -1)
+    summed = place[np.nonzero(~own)[1]].reshape(s, -1)
+    kept = place[pos[np.nonzero(in_subset)[1]]].reshape(s, -1)
+    return summed, kept
+
+
+def _offsets(places: np.ndarray) -> np.ndarray:
+    """Column s: the 2^w sums of subsets of places[s], in the order of the
+    w-bit outcomes they encode; places[s, 0] is the most significant.
+    Built by doubling, w adds: a product with a table of digits is as
+    fast, but numpy's integer matmul raised check-error's peak RSS by
+    about 0.5 MB."""
+    s, w = places.shape
+    off = np.empty((1 << w, s), np.intp)
+    off[0] = 0
+    for j in range(w):
+        np.add(off[: 1 << j], places[:, w - 1 - j], out=off[1 << j : 2 << j])
+    return off
+
+
+def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i marks the qubits of the k binary digits of 2^k - 1 - i, most
+    significant first, and its size; the rows of size r mark the subsets
+    of r qubits in itertools.combinations order."""
+    digits = np.arange((1 << k) - 1, -1, -1)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    return digits == 1, digits.sum(axis=1)
+
+
 def multiplicative_error_report(p: OutcomeDistribution, q: OutcomeDistribution):
     """Minimal c for every non-empty subset of the measured qubits, or
     INCOMPARABLE if any subset (including the full joint) mismatches.
     The 2^k - 1 marginals of each side cost O(4^k), so k above
-    DEFAULT_LIMITS.report_cap raises ResourceError before any is built."""
+    DEFAULT_LIMITS.report_cap raises ResourceError before any is built.
+
+    The marginals of the subsets of one size r are built REPORT_CHUNK
+    joint entries at a time: an index gathers each joint into an array
+    (summed outcome, subset, kept outcome), and one sum over its first axis
+    adds the rows in the order OutcomeDistribution.marginal does.  Every
+    marginal, and so every c, is bit-identical to that of one pair of
+    marginal distributions per subset.
+    """
     k, cap = len(p.measured_qubits), DEFAULT_LIMITS.report_cap
     if k > cap:
         raise ResourceError(f"{k} measured qubits exceed the error-report cap of {cap}")
-    # q's marginals come from q itself rather than from q reordered to p's
-    # qubit order, so each sums q's entries in q's own outcome order.
     _same_qubits(p, q)
+    qubits = p.measured_qubits
+    positions = [np.arange(k)]
+    if q.measured_qubits != qubits:
+        # q's marginals come from q itself rather than from q reordered to
+        # p's qubit order, so each sums q's entries in q's own outcome order.
+        positions.append(np.array([q.measured_qubits.index(x) for x in qubits]))
+    subsets, sizes = _subset_masks(k)
+    # A chunk holds at least one whole joint.
+    room = max(REPORT_CHUNK, 1 << k)
+    step = room >> k
+    # intp, as np.take copies any other index type to intp first.
+    index = np.empty(room, np.intp)
+    gathered = np.empty(room)
     per: dict[tuple[int, ...], float] = {}
     worst = 1.0
-    qubits = p.measured_qubits
-    for r in range(1, len(qubits) + 1):
-        for subset in itertools.combinations(qubits, r):
-            c = _pair_c(p.marginal(subset).pmf, q.marginal(subset).pmf)
+    for r in range(1, k + 1):
+        in_subset = subsets[sizes == r]
+        places = [_place_values(in_subset, pos) for pos in positions]
+        cs = []
+        for lo in range(0, len(in_subset), step):
+            chunk = slice(lo, lo + step)
+            marginals = []
+            for side, pmf in enumerate((p.pmf, q.pmf)):
+                if side < len(places):
+                    summed, kept = places[side]
+                    rows, cols = _offsets(summed[chunk]), _offsets(kept[chunk])
+                    shape = (len(rows), rows.shape[1], len(cols))
+                    size = math.prod(shape)
+                    idx = np.add(rows[:, :, None], cols.T, out=index[:size].reshape(shape))
+                # The index is in range by construction; mode "raise" would
+                # gather into a temporary and copy it to `out`.
+                out = gathered[:size].reshape(shape)
+                marginals.append(np.take(pmf, idx, out=out, mode="clip").sum(axis=0, initial=0.0))
+            c = _row_cs(*marginals)
             if c is INCOMPARABLE:
                 return INCOMPARABLE
-            per[subset] = c
-            worst = max(worst, c)
+            cs.append(c)
+        c = np.concatenate(cs)
+        per.update(zip(itertools.combinations(qubits, r), c.tolist()))
+        worst = max(worst, float(c.max()))
     return MultiplicativeErrorReport(per, worst)
 
 
@@ -286,7 +370,7 @@ def parse_distribution(text: str) -> OutcomeDistribution:
     if not isinstance(obj, dict) or "measured" not in obj or "probs" not in obj:
         raise ParseError('expected an object with "measured" and "probs"', "$")
     if not isinstance(obj["measured"], list) or not all(
-        isinstance(q, int) for q in obj["measured"]
+        type(q) is int and q >= 0 for q in obj["measured"]
     ):
         raise ParseError("measured must be an array of qubit indices", "$.measured")
     k, cap = len(obj["measured"]), DEFAULT_LIMITS.exact_cap

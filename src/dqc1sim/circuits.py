@@ -596,8 +596,9 @@ def _index_field(text: str, message: str, loc: str) -> int:
 def _number_field(val: Any, message: str, loc: str) -> float:
     """A JSON number as a finite float, or a ParseError.
 
-    json accepts NaN and Infinity, and integers too large for a float."""
-    if isinstance(val, (int, float)):
+    json accepts NaN and Infinity, and integers too large for a float;
+    true and false are not numbers, though bool subclasses int."""
+    if type(val) in (int, float):
         try:
             f = float(val)
         except OverflowError:
@@ -608,7 +609,7 @@ def _number_field(val: Any, message: str, loc: str) -> float:
 
 
 def _int_list(obj: Any, loc: str) -> tuple[int, ...]:
-    if not isinstance(obj, list) or not all(isinstance(v, int) for v in obj):
+    if not isinstance(obj, list) or not all(type(v) is int for v in obj):
         raise ParseError("expected an array of integers", loc)
     return tuple(obj)
 
@@ -616,7 +617,7 @@ def _int_list(obj: Any, loc: str) -> tuple[int, ...]:
 def _graph_from_obj(obj: Any, loc: str) -> GraphSpec:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ParseError('graph must be an object with "n" and "edges"', loc)
-    if not isinstance(obj["n"], int):
+    if type(obj["n"]) is not int:
         raise ParseError("graph vertex count must be an integer", loc + ".n")
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
@@ -647,7 +648,7 @@ def _gate_from_obj(obj: Any, loc: str) -> Gate:
     if "graph" in obj:
         kwargs["graph"] = _graph_from_obj(obj["graph"], loc + ".graph")
     if "extra_zero" in obj:
-        if not isinstance(obj["extra_zero"], int):
+        if type(obj["extra_zero"]) is not int:
             raise ParseError("extra_zero must be an integer", loc + ".extra_zero")
         kwargs["extra_zero"] = obj["extra_zero"]
     try:
@@ -691,7 +692,7 @@ def parse_circuit(text: str) -> Dqc1Circuit:
     for field in ("total_qubits", "clean_qubits", "gates", "measure"):
         if field not in obj:
             raise ParseError(f"missing required field {field!r}", "$")
-    if not isinstance(obj["total_qubits"], int):
+    if type(obj["total_qubits"]) is not int:
         raise ParseError("total_qubits must be an integer", "$.total_qubits")
     gates = _gates_from_obj(obj["gates"], "$.gates")
     clean = _int_list(obj["clean_qubits"], "$.clean_qubits")
@@ -704,7 +705,7 @@ def parse_circuit(text: str) -> Dqc1Circuit:
         postselect = {}
         for key, bit in raw.items():
             q = _index_field(key, f"postselect key {key!r} is not a qubit index", "$.postselect")
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 raise ParseError(f"postselect bit for qubit {key} must be 0 or 1", "$.postselect")
             postselect[q] = bit
     dc = Dqc1Circuit(Circuit(obj["total_qubits"], gates), clean, measured, postselect)
@@ -717,7 +718,7 @@ def parse_unitary(text: str) -> Circuit:
     obj = _loads(text)
     if not isinstance(obj, dict) or "total_qubits" not in obj or "gates" not in obj:
         raise ParseError('expected an object with "total_qubits" and "gates"', "$")
-    if not isinstance(obj["total_qubits"], int):
+    if type(obj["total_qubits"]) is not int:
         raise ParseError("total_qubits must be an integer", "$.total_qubits")
     c = Circuit(obj["total_qubits"], _gates_from_obj(obj["gates"], "$.gates"))
     problems: list[Dqc1Error] = []

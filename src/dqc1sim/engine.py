@@ -106,7 +106,9 @@ def exact_distribution(
     if method == "density":
         rho = build_input(dc, limits=limits)
         for g in dc.gates:
-            rho = evolve_density(rho, g, cap=limits.density_cap)
+            rho = evolve_density(rho, g, cap=limits.density_cap, check=False)
+        # Checked once for the whole run rather than after every gate.
+        rho = DensityMatrix(m, rho.entries)
         weights = _outcome_weights(rho.entries.diagonal().real, m, dc.measured)[0]
     elif method in ("auto", "mixture"):
         if m > limits.exact_cap:

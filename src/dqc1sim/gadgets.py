@@ -327,7 +327,7 @@ def parse_pattern(text: str) -> MbqcPattern:
         message = f"bad angle entry {key!r}"
         angles[_index_field(key, message, "$.angles")] = _number_field(val, message, "$.angles")
     if not isinstance(obj["outputs"], list) or not all(
-        isinstance(v, int) for v in obj["outputs"]
+        type(v) is int for v in obj["outputs"]
     ):
         raise ParseError("outputs must be an array of vertex indices", "$.outputs")
     try:

@@ -99,6 +99,14 @@ class DensityMatrix:
         v = state.amplitudes
         return cls(state.num_qubits, np.outer(v, v.conj()))
 
+    @classmethod
+    def _unchecked(cls, num_qubits: int, entries: np.ndarray) -> "DensityMatrix":
+        """A matrix whose hermiticity and trace the caller checks later."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "num_qubits", num_qubits)
+        object.__setattr__(rho, "entries", entries)
+        return rho
+
     def validate_psd(self, tol: float = PSD_TOL) -> None:
         lo = float(np.linalg.eigvalsh(self.entries)[0])
         if lo < -tol:
@@ -293,16 +301,26 @@ def apply_gate(state: PureState, gate: Gate, targets: Sequence[int] | None = Non
 
 
 def evolve_density(
-    rho: DensityMatrix, gate: Gate, targets: Sequence[int] | None = None, cap: int | None = None
+    rho: DensityMatrix,
+    gate: Gate,
+    targets: Sequence[int] | None = None,
+    cap: int | None = None,
+    *,
+    check: bool = True,
 ) -> DensityMatrix:
     """Conjugate a density matrix by the full gate unitary.
 
     Routed through the dense-matrix oracle on purpose; see the module
-    docstring.  Subject to the dense size cap.
+    docstring.  Subject to the dense size cap.  check=False skips the
+    O(4^m) hermiticity and trace checks of the result, for a caller that
+    checks once after a run of steps.
     """
     g = _rewire(gate, targets)
     full = gate_matrix(g, rho.num_qubits, cap=cap)
-    return DensityMatrix(rho.num_qubits, full @ rho.entries @ full.conj().T)
+    entries = full @ rho.entries @ full.conj().T
+    if check:
+        return DensityMatrix(rho.num_qubits, entries)
+    return DensityMatrix._unchecked(rho.num_qubits, entries)
 
 
 def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray:

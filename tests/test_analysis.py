@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from dqc1sim.analysis import (
     INCOMPARABLE,
+    REPORT_CHUNK,
+    MultiplicativeErrorReport,
     check_conditional_bounds,
     classify_acceptance,
     estimate_trace,
@@ -18,6 +22,7 @@ from dqc1sim.analysis import (
     serialize_distribution,
 )
 from dqc1sim.circuits import Circuit, Dqc1Circuit, h, t, x
+from dqc1sim.config import ZERO_PROB_TOL
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.engine import all_zeros_probability
 from dqc1sim.errors import ContractError, ParseError, PostselectionImpossibleError
@@ -185,6 +190,124 @@ def test_marginal_c_never_exceeds_joint(pair):
     joint_c = report.per_marginal_c[p.measured_qubits]
     for c in report.per_marginal_c.values():
         assert c <= joint_c * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the report against one pair of marginal distributions per subset
+
+def _reference_pair_c(p, q):
+    p_zero = p <= ZERO_PROB_TOL
+    q_zero = q <= ZERO_PROB_TOL
+    if np.any(p_zero != q_zero):
+        return INCOMPARABLE
+    live = ~p_zero
+    pv, qv = p[live], q[live]
+    return max(1.0, float(np.max(pv / qv)), float(np.max(qv / pv)))
+
+
+def _reference_report(p, q):
+    """The report built one subset at a time from two marginal distributions."""
+    per = {}
+    worst = 1.0
+    qubits = p.measured_qubits
+    for r in range(1, len(qubits) + 1):
+        for subset in itertools.combinations(qubits, r):
+            c = _reference_pair_c(p.marginal(subset).pmf, q.marginal(subset).pmf)
+            if c is INCOMPARABLE:
+                return INCOMPARABLE
+            per[subset] = c
+            worst = max(worst, c)
+    return MultiplicativeErrorReport(per, worst)
+
+
+def _assert_same_report(p, q):
+    got, want = multiplicative_error_report(p, q), _reference_report(p, q)
+    if want is INCOMPARABLE:
+        assert got is INCOMPARABLE
+        return
+    assert got is not INCOMPARABLE
+    assert list(got.per_marginal_c) == list(want.per_marginal_c)
+    assert all(type(c) is float for c in got.per_marginal_c.values())
+    assert [c.hex() for c in got.per_marginal_c.values()] == [
+        c.hex() for c in want.per_marginal_c.values()
+    ]
+    assert type(got.worst_c) is float and got.worst_c.hex() == want.worst_c.hex()
+
+
+def _random_pair(rng, k, zeros=0.0, mismatches=0, shuffle=False):
+    """p and a q within a random factor of it over qubits 3..k+2, zero
+    where p is zero; `mismatches` outcomes of q are then zeroed alone, and
+    q lists its qubits in a shuffled order when asked."""
+    size = 1 << k
+    p = rng.uniform(0.5, 1.5, size)
+    p[rng.random(size) < zeros] = 0.0
+    p[rng.integers(size)] += 1.0
+    q = p * rng.uniform(0.25, 4.0, size)
+    q[rng.integers(size, size=mismatches)] = 0.0
+    if not q.any():
+        q[rng.integers(size)] = 1.0
+    qubits = tuple(range(3, 3 + k))
+    p = OutcomeDistribution(qubits, p / p.sum())
+    q = OutcomeDistribution(qubits, q / q.sum())
+    if shuffle:
+        q = q.marginal(tuple(rng.permutation(qubits).tolist()))
+    return p, q
+
+
+@given(
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.1, 0.5]),
+    mismatches=st.sampled_from([0, 0, 1]),
+    shuffle=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_report_matches_one_marginal_pair_per_subset(k, seed, zeros, mismatches, shuffle):
+    rng = np.random.default_rng(seed)
+    _assert_same_report(*_random_pair(rng, k, zeros, mismatches, shuffle))
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_report_matches_reference_where_chunks_split_a_subset_size(shuffle):
+    # At k = 11 a chunk holds 8 subsets, so the 11 of size 1 take two.
+    assert REPORT_CHUNK >> 11 == 8
+    p, q = _random_pair(np.random.default_rng(11), 11, zeros=0.1, shuffle=shuffle)
+    _assert_same_report(p, q)
+
+
+def test_report_incomparable_in_a_marginal_only():
+    # The joint zeros agree, but outcome 0 of qubit 0 sums two "zero"
+    # entries of p past the zero tolerance and stays below it in q.
+    tiny = 0.8 * ZERO_PROB_TOL
+    p = dist((0, 1), {"00": tiny, "01": tiny, "10": 0.5, "11": 0.5 - 2 * tiny})
+    q = dist((0, 1), {"00": tiny / 8, "01": tiny / 8, "10": 0.5, "11": 0.5 - tiny / 4})
+    assert minimal_multiplicative_error(p, q) is not INCOMPARABLE
+    assert multiplicative_error_report(p, q) is INCOMPARABLE
+    _assert_same_report(p, q)
+
+
+def test_report_incomparable_in_the_joint_only():
+    p = dist((0, 1), {"00": 0.5, "11": 0.5})
+    q = dist((1, 0), {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
+    for subset in ((0,), (1,)):
+        assert minimal_multiplicative_error(p.marginal(subset), q.marginal(subset)) == 1.0
+    assert multiplicative_error_report(p, q) is INCOMPARABLE
+    _assert_same_report(p, q)
+
+
+def test_report_peak_memory_at_k10():
+    # One chunk of REPORT_CHUNK entries and its index; the subset tables
+    # and the 1,023 keys come on top.
+    p, q = _random_pair(np.random.default_rng(3), 10, shuffle=True)
+    multiplicative_error_report(p, q)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        multiplicative_error_report(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

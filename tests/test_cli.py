@@ -6,7 +6,8 @@ from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, h, serialize_circu
 from dqc1sim.cli import main
 from dqc1sim.config import DEFAULT_LIMITS
 from dqc1sim.distributions import OutcomeDistribution
-from dqc1sim.analysis import serialize_distribution
+from dqc1sim.analysis import parse_distribution, serialize_distribution
+from dqc1sim.errors import ParseError
 from dqc1sim.engine import exact_distribution
 from dqc1sim.gadgets import MbqcPattern, linear_pattern_target_probs, serialize_pattern
 
@@ -290,6 +291,43 @@ def test_check_error_incomparable(capsys, tmp_path):
     code, out, _ = _run(capsys, ["check-error", p, q])
     assert code == 0
     assert json.loads(out) == {"incomparable": True}
+
+
+# ---------------------------------------------------------------------------
+# JSON booleans and negative indices at the parse boundary
+
+def _circuit_doc(gate):
+    return {"total_qubits": 2, "clean_qubits": [0], "gates": [gate], "measure": [0]}
+
+
+# case -> (document, its location of the error); bool subclasses int, so
+# each of these was once read as 1, 0 or 1.0.
+_NOT_NUMBERS = {
+    "measured-bool": ({"measured": [True, 0], "probs": {"00": 0.5, "11": 0.5}}, "$.measured"),
+    "measured-negative": ({"measured": [-3], "probs": {"0": 1.0}}, "$.measured"),
+    "probs-bool": ({"measured": [0], "probs": {"0": True, "1": False}}, "$.probs"),
+    "theta-bool": (_circuit_doc({"g": "RZ", "q": [1], "theta": True}), "$.gates[0].theta"),
+    "qubit-bool": (_circuit_doc({"g": "H", "q": [True]}), "$.gates[0].q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_NUMBERS))
+def test_booleans_and_negative_indices_exit_2(capsys, tmp_path, case):
+    doc, location = _NOT_NUMBERS[case]
+    text = json.dumps(doc)
+    parser = parse_circuit if "gates" in doc else parse_distribution
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.location == location
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if "gates" in doc:
+        argv = ["exact", "--circuit", str(path)]
+    else:
+        argv = ["check-error", str(path), str(path)]
+    code, out, err_text = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err_text.startswith(f"error: {location}: ") and err_text.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1sim.distributions import OutcomeDistribution
+from dqc1sim.distributions import OutcomeDistribution, _outcome_index, _outcome_indices
 from dqc1sim.errors import ContractError, PostselectionImpossibleError
 
 
@@ -211,3 +212,52 @@ def test_array_form_matches_bitstring_form():
         OutcomeDistribution((0, 1), np.array([0.5, 0.5]))
     with pytest.raises(ContractError):
         OutcomeDistribution((0,), np.array([np.nan, 1.0]))
+
+
+@given(
+    k=st.integers(1, 8),
+    data=st.data(),
+)
+def test_mapping_form_places_every_key(k, data):
+    # Keys in any order, some outcomes absent: each value lands at its key.
+    outcomes = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, unique=True))
+    weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(outcomes), max_size=len(outcomes)))
+    total = math.fsum(weights)
+    probs = {format(i, f"0{k}b"): w / total for i, w in zip(outcomes, weights)}
+    d = OutcomeDistribution(tuple(range(k)), probs)
+    want = np.zeros(1 << k)
+    for i, w in zip(outcomes, weights):
+        want[i] = w / total
+    assert d.pmf.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"01": 0.5, "0": 0.0, "2": 0.5},
+        {"01": 0.5, "0a": 0.0, "111": 0.5},
+        {"00": 0.5, "0/": 0.0, "x": 0.5},
+        {"00": 0.5, "0²": 0.0, 7: 0.5},
+        {"00": 0.5, 10: 0.0, "0٣": 0.5},
+    ],
+)
+def test_mapping_form_names_the_first_bad_key(bad):
+    first = list(bad)[1]
+    with pytest.raises(ContractError, match=f"outcome key {first!r} does not match 2"):
+        OutcomeDistribution((0, 1), bad)
+
+
+@given(
+    k=st.integers(1, 3),
+    keys=st.lists(st.one_of(st.text("01 _2a", max_size=4), st.integers(0, 3)), max_size=6),
+)
+def test_bulk_key_check_agrees_with_the_per_key_rule(k, keys):
+    # The one-pass check accepts exactly the key lists that _outcome_index
+    # accepts key by key, and otherwise names the same first bad key.
+    try:
+        want = [_outcome_index(key, k) for key in keys]
+    except ContractError as err:
+        with pytest.raises(ContractError, match=f"^{re.escape(str(err))}$"):
+            _outcome_indices(keys, k)
+    else:
+        assert _outcome_indices(keys, k).tolist() == want

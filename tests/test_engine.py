@@ -302,6 +302,18 @@ def test_density_never_runs_the_pure_kernels(monkeypatch):
     exact_distribution(dc, "density")
 
 
+def test_density_route_validates_once(monkeypatch):
+    # The input and the final matrix; not once more per gate.
+    dc = _route_circuit(7, 5)
+    calls = []
+    check = dqc1sim.qstate.DensityMatrix.__post_init__
+    monkeypatch.setattr(
+        dqc1sim.qstate.DensityMatrix, "__post_init__", lambda rho: calls.append(1) or check(rho)
+    )
+    exact_distribution(dc, "density")
+    assert len(dc.gates) > 2 and len(calls) == 2
+
+
 @pytest.mark.parametrize("m", range(2, 10))
 @pytest.mark.parametrize("postselect", [False, True])
 def test_auto_is_the_mixture_route_and_matches_the_oracle(m, postselect):

@@ -202,6 +202,15 @@ def test_evolve_density_matches_pure_conjugation():
     assert np.allclose(rho.entries, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
+def test_unchecked_evolve_density_keeps_the_bytes():
+    rng = np.random.default_rng(23)
+    checked = unchecked = DensityMatrix.from_pure(_random_state(29, 3))
+    for g in random_circuit(rng, 3, 10).gates:
+        checked = evolve_density(checked, g)
+        unchecked = evolve_density(unchecked, g, check=False)
+    assert unchecked.entries.tobytes() == checked.entries.tobytes()
+
+
 def test_evolve_density_cap():
     rho = DensityMatrix(4, np.eye(16, dtype=complex) / 16.0)
     with pytest.raises(ResourceError):
