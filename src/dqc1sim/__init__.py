@@ -43,7 +43,7 @@ from .circuits import (
     y,
     z,
 )
-from .config import DEFAULT_LIMITS, DEFAULT_SEED, Limits
+from .config import DEFAULT_SEED
 from .distributions import OutcomeDistribution
 from .engine import (
     ShotRecord,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bits import bitstring
 from .circuits import Circuit, Dqc1Circuit, _loads, _number_field, circuit_matrix
-from .config import DEFAULT_LIMITS, DEFAULT_SEED, ZERO_PROB_TOL, Limits
+from .config import DEFAULT_SEED, EXACT_CAP, REPORT_CAP, ZERO_PROB_TOL
 from .distributions import OutcomeDistribution
 from .engine import conditional_distribution, sample
 from .errors import ContractError, ParseError, ResourceError
@@ -82,7 +82,7 @@ def estimate_trace(
     )
 
 
-def frobenius_block_norm(u: Circuit, k: int, limits: Limits = DEFAULT_LIMITS) -> float:
+def frobenius_block_norm(u: Circuit, k: int) -> float:
     """2^-n_mixed times the squared Frobenius norm of the top-left block of
     the full unitary, where the block fixes the first k qubits to |0>.
 
@@ -92,7 +92,7 @@ def frobenius_block_norm(u: Circuit, k: int, limits: Limits = DEFAULT_LIMITS) ->
     if not 1 <= k < u.total_qubits:
         raise ContractError(f"need 1 <= k < total_qubits, got k={k}")
     n_mixed = u.total_qubits - k
-    full = circuit_matrix(u, cap=limits.density_cap)
+    full = circuit_matrix(u)
     d = 1 << n_mixed
     block = full[:d, :d]
     return float((abs(block) ** 2).sum()) / d
@@ -192,7 +192,7 @@ def multiplicative_error_report(p: OutcomeDistribution, q: OutcomeDistribution):
     """Minimal c for every non-empty subset of the measured qubits, or
     INCOMPARABLE if any subset (including the full joint) mismatches.
     The 2^k - 1 marginals of each side cost O(4^k), so k above
-    DEFAULT_LIMITS.report_cap raises ResourceError before any is built.
+    REPORT_CAP raises ResourceError before any is built.
 
     The marginals of the subsets of one size r are built REPORT_CHUNK
     joint entries at a time: an index gathers each joint into an array
@@ -201,9 +201,9 @@ def multiplicative_error_report(p: OutcomeDistribution, q: OutcomeDistribution):
     marginal, and so every c, is bit-identical to that of one pair of
     marginal distributions per subset.
     """
-    k, cap = len(p.measured_qubits), DEFAULT_LIMITS.report_cap
-    if k > cap:
-        raise ResourceError(f"{k} measured qubits exceed the error-report cap of {cap}")
+    k = len(p.measured_qubits)
+    if k > REPORT_CAP:
+        raise ResourceError(f"{k} measured qubits exceed the error-report cap of {REPORT_CAP}")
     _same_qubits(p, q)
     qubits = p.measured_qubits
     positions = [np.arange(k)]
@@ -325,11 +325,7 @@ class AcceptanceVerdict:
 
 
 def classify_acceptance(
-    dc: Dqc1Circuit,
-    ps: Mapping[int, int],
-    output: int,
-    delta: float,
-    limits: Limits = DEFAULT_LIMITS,
+    dc: Dqc1Circuit, ps: Mapping[int, int], output: int, delta: float
 ) -> AcceptanceVerdict:
     """Exact postselected acceptance: conditioned on `ps`, is the output
     qubit's probability of reading 1 at least 1/2 + delta (in-language),
@@ -343,7 +339,7 @@ def classify_acceptance(
         raise ContractError(f"output qubit {output} is postselected")
     if output not in dc.measured:
         raise ContractError(f"output qubit {output} is not measured")
-    cond = conditional_distribution(dc, ps, limits=limits)
+    cond = conditional_distribution(dc, ps)
     p1 = float(cond.marginal((output,)).pmf[1])
     if p1 >= 0.5 + delta:
         verdict = "in-language"
@@ -364,8 +360,8 @@ def serialize_distribution(d: OutcomeDistribution) -> str:
 
 def parse_distribution(text: str) -> OutcomeDistribution:
     """Parse a distribution document; the dense outcome array it builds
-    has 2^k entries, so more than DEFAULT_LIMITS.exact_cap measured qubits
-    raise ResourceError before it is allocated."""
+    has 2^k entries, so more than EXACT_CAP measured qubits raise
+    ResourceError before it is allocated."""
     obj = _loads(text)
     if not isinstance(obj, dict) or "measured" not in obj or "probs" not in obj:
         raise ParseError('expected an object with "measured" and "probs"', "$")
@@ -373,9 +369,9 @@ def parse_distribution(text: str) -> OutcomeDistribution:
         type(q) is int and q >= 0 for q in obj["measured"]
     ):
         raise ParseError("measured must be an array of qubit indices", "$.measured")
-    k, cap = len(obj["measured"]), DEFAULT_LIMITS.exact_cap
-    if k > cap:
-        raise ResourceError(f"{k} measured qubits exceed the exact cap of {cap}")
+    k = len(obj["measured"])
+    if k > EXACT_CAP:
+        raise ResourceError(f"{k} measured qubits exceed the exact cap of {EXACT_CAP}")
     if not isinstance(obj["probs"], dict):
         raise ParseError("probs must map bitstrings to probabilities", "$.probs")
     probs = {

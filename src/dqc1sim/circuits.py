@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, UNITARITY_TOL
+from .config import DENSITY_CAP, UNITARITY_TOL
 from .errors import (
     ContractError,
     Dqc1Error,
@@ -489,22 +489,27 @@ def _small_matrix(g: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
     raise ContractError(f"{g.kind} has no single defining matrix")
 
 
-def gate_matrix(g: Gate, context_qubits: int, cap: int | None = None) -> np.ndarray:
+def _dense_dim(m: int) -> int:
+    """The dimension 2^m of a dense matrix over m qubits; more than
+    DENSITY_CAP qubits raise ResourceError before anything is allocated."""
+    if m > DENSITY_CAP:
+        raise ResourceError(f"{m} qubits exceed the density cap of {DENSITY_CAP}")
+    return 1 << m
+
+
+def gate_matrix(g: Gate, context_qubits: int) -> np.ndarray:
     """Full 2^m x 2^m unitary realizing the gate inside an m-qubit context.
 
     This is the dense oracle path: it never routes through the state-vector
     kernels.  The defining matrix is checked for unitarity first.
     """
-    cap = DEFAULT_LIMITS.density_cap if cap is None else cap
     m = context_qubits
-    if m > cap:
-        raise ResourceError(f"context of {m} qubits exceeds the dense cap of {cap}")
     if m < 1:
         raise ContractError("context needs at least one qubit")
+    dim = _dense_dim(m)
     bad = [w for w in g.wires if not 0 <= w < m]
     if bad:
         raise WiringError(f"{g.kind} references qubits {bad} outside a {m}-qubit context")
-    dim = 1 << m
 
     if g.kind == "MCX":
         j = np.arange(dim, dtype=np.int64)
@@ -534,11 +539,11 @@ def gate_matrix(g: Gate, context_qubits: int, cap: int | None = None) -> np.ndar
     return _embed(small, wires, m)
 
 
-def circuit_matrix(c: Circuit, cap: int | None = None) -> np.ndarray:
+def circuit_matrix(c: Circuit) -> np.ndarray:
     """Product of the circuit's gate matrices, first gate applied first."""
-    full = np.eye(1 << c.total_qubits, dtype=complex)
+    full = np.eye(_dense_dim(c.total_qubits), dtype=complex)
     for g in c.gates:
-        full = gate_matrix(g, c.total_qubits, cap=cap) @ full
+        full = gate_matrix(g, c.total_qubits) @ full
     return full
 
 
@@ -550,15 +555,16 @@ def _matrix_to_obj(mat: np.ndarray) -> list:
 
 
 def _matrix_from_obj(obj: Any, loc: str) -> np.ndarray:
-    try:
-        rows = []
-        for row in obj:
-            rows.append([complex(float(re), float(im)) for re, im in row])
-        mat = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError("matrix must be nested arrays of [re, im] pairs", loc) from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParseError(f"matrix has shape {mat.shape}, expected square", loc)
+    """A square matrix of [re, im] pairs, each part a finite JSON number."""
+    n = len(obj) if isinstance(obj, list) else 0
+    square = n > 0 and all(isinstance(row, list) and len(row) == n for row in obj)
+    if not square or not all(isinstance(z, list) and len(z) == 2 for row in obj for z in row):
+        raise ParseError("matrix must be a square array of [re, im] pairs", loc)
+    mat = np.empty((n, n), dtype=complex)
+    for i, j in np.ndindex(n, n):
+        at = f"{loc}[{i}][{j}]"
+        re, im = (_number_field(v, "matrix entry must be a finite number", at) for v in obj[i][j])
+        mat[i, j] = complex(re, im)
     return mat
 
 
@@ -622,9 +628,13 @@ def _graph_from_obj(obj: Any, loc: str) -> GraphSpec:
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("graph edges must be an array", loc + ".edges")
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e):
+            message = "graph edge must be an array of two vertex indices"
+            raise ParseError(message, f"{loc}.edges[{i}]")
     try:
         return GraphSpec(obj["n"], tuple(tuple(e) for e in edges))
-    except (Dqc1Error, TypeError) as err:
+    except Dqc1Error as err:
         raise ParseError(str(err), loc) from None
 
 

@@ -214,7 +214,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except (Dqc1Error, json.JSONDecodeError) as exc:
+    except Dqc1Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

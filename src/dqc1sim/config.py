@@ -1,7 +1,5 @@
 """Centralized numeric tolerances and size caps."""
 
-from dataclasses import dataclass
-
 # Squared-norm drift allowed on pure states.
 NORM_TOL = 1e-9
 
@@ -22,23 +20,14 @@ ZERO_PROB_TOL = 1e-12
 # Seed used by the command line when none is given.  Fixed, never time-based.
 DEFAULT_SEED = 12345
 
-
-@dataclass(frozen=True)
-class Limits:
-    """Size caps for the dense code paths.
-
-    density_cap bounds only the dense oracle: density-matrix evolution and
-    everything else that builds a full 2^m x 2^m matrix.  exact_cap bounds
-    exact distributions, the average over the mixed-register basis, and
-    the width of distribution documents.  report_cap bounds the measured
-    qubits of a multiplicative-error report, which builds all 2^k - 1
-    marginals.  Pure-state sampling has no cap here and is limited only by
-    memory: it holds one block of amplitude vectors at a time.
-    """
-
-    density_cap: int = 12
-    exact_cap: int = 16
-    report_cap: int = 14
-
-
-DEFAULT_LIMITS = Limits()
+# Size caps, each read where it is checked, before anything is allocated.
+# DENSITY_CAP bounds only the dense oracle: density-matrix evolution and
+# everything else that builds a full 2^m x 2^m matrix.  EXACT_CAP bounds
+# exact distributions, the average over the mixed-register basis, and the
+# width of distribution documents.  REPORT_CAP bounds the measured qubits
+# of a multiplicative-error report, which builds all 2^k - 1 marginals.
+# Pure-state sampling has no cap here and is limited only by memory: it
+# holds one block of amplitude vectors at a time.
+DENSITY_CAP = 12
+EXACT_CAP = 16
+REPORT_CAP = 14

@@ -21,8 +21,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .bits import bitstring, scatter_bits
-from .circuits import Dqc1Circuit, require_valid
-from .config import DEFAULT_LIMITS, Limits
+from .circuits import Dqc1Circuit, _dense_dim, require_valid
+from .config import EXACT_CAP
 from .distributions import OutcomeDistribution
 from .errors import ContractError, ResourceError
 from .qstate import DensityMatrix, _outcome_weights, compile_circuit, evolve_density
@@ -55,15 +55,13 @@ class ShotRecord:
         return {bitstring(int(v), k): int(f) for v, f in zip(values, freq)}
 
 
-def build_input(dc: Dqc1Circuit, limits: Limits = DEFAULT_LIMITS) -> DensityMatrix:
+def build_input(dc: Dqc1Circuit) -> DensityMatrix:
     """Initial state as an explicit density matrix (capped): |0><0| on the
     clean qubits, I/2 on every other qubit."""
     require_valid(dc)
     m = dc.total_qubits
-    if m > limits.density_cap:
-        raise ResourceError(f"{m} qubits exceed the density cap of {limits.density_cap}")
     size = 1 << len(dc.mixed_qubits)
-    diag = np.zeros(1 << m)
+    diag = np.zeros(_dense_dim(m))
     diag[scatter_bits(np.arange(size), dc.mixed_qubits, m)] = 1.0 / size
     return DensityMatrix(m, np.diag(diag.astype(complex)))
 
@@ -90,9 +88,7 @@ def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray)
     return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
 
 
-def exact_distribution(
-    dc: Dqc1Circuit, method: str = "auto", limits: Limits = DEFAULT_LIMITS
-) -> OutcomeDistribution:
+def exact_distribution(dc: Dqc1Circuit, method: str = "auto") -> OutcomeDistribution:
     """Exact joint distribution over the measured qubits.
 
     method "mixture" averages pure runs over the mixed-register basis, in
@@ -104,15 +100,15 @@ def exact_distribution(
     require_valid(dc)
     m = dc.total_qubits
     if method == "density":
-        rho = build_input(dc, limits=limits)
+        rho = build_input(dc)
         for g in dc.gates:
-            rho = evolve_density(rho, g, cap=limits.density_cap, check=False)
+            rho = evolve_density(rho, g, check=False)
         # Checked once for the whole run rather than after every gate.
         rho = DensityMatrix(m, rho.entries)
         weights = _outcome_weights(rho.entries.diagonal().real, m, dc.measured)[0]
     elif method in ("auto", "mixture"):
-        if m > limits.exact_cap:
-            raise ResourceError(f"{m} qubits exceed the exact cap of {limits.exact_cap}")
+        if m > EXACT_CAP:
+            raise ResourceError(f"{m} qubits exceed the exact cap of {EXACT_CAP}")
         ops = compile_circuit(dc.gates, m)
         size = 1 << len(dc.mixed_qubits)
         weights = np.zeros(1 << len(dc.measured))
@@ -127,28 +123,23 @@ def exact_distribution(
 
 
 def conditional_distribution(
-    dc: Dqc1Circuit,
-    ps: Mapping[int, int],
-    method: str = "auto",
-    limits: Limits = DEFAULT_LIMITS,
+    dc: Dqc1Circuit, ps: Mapping[int, int], method: str = "auto"
 ) -> OutcomeDistribution:
     """Exact distribution over the non-postselected measured qubits, given
     that every postselected qubit read its required bit."""
-    joint = exact_distribution(dc, method=method, limits=limits)
+    joint = exact_distribution(dc, method=method)
     conditioned, _ = joint.condition(ps)
     return conditioned
 
 
-def all_zeros_probability(
-    dc: Dqc1Circuit, method: str = "auto", limits: Limits = DEFAULT_LIMITS
-) -> float:
+def all_zeros_probability(dc: Dqc1Circuit, method: str = "auto") -> float:
     """Probability that every measured clean qubit reads 0.
 
     Defined for circuits whose measured set is exactly the clean set.
     """
     if set(dc.measured) != set(dc.clean_qubits):
         raise ContractError("all-zeros probability needs measured set == clean set")
-    joint = exact_distribution(dc, method=method, limits=limits)
+    joint = exact_distribution(dc, method=method)
     return float(joint.pmf[0])
 
 
@@ -160,9 +151,7 @@ def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
     return gen.random((shots, 2))
 
 
-def sample(
-    dc: Dqc1Circuit, shots: int, seed: int, limits: Limits = DEFAULT_LIMITS
-) -> ShotRecord:
+def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
     """Draw seeded i.i.d. shots from the circuit's exact distribution.
 
     Without postselection each shot draws a mixed-register basis state,
@@ -175,10 +164,12 @@ def sample(
     require_valid(dc)
     if shots < 1:
         raise ContractError(f"need a positive shot count, got {shots}")
+    if not 0 <= seed < 1 << 128:
+        raise ContractError(f"seed must lie in [0, 2^128), got {seed}")
     k = len(dc.measured)
     uniforms = _shot_uniforms(seed, shots)
     if dc.postselect:
-        joint = exact_distribution(dc, limits=limits)
+        joint = exact_distribution(dc)
         conditioned, _ = joint.condition(dc.postselect, keep_assigned=True)
         cdf = np.cumsum(conditioned.pmf)
         cdf[-1] = max(cdf[-1], 1.0)

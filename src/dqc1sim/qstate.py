@@ -259,18 +259,6 @@ def compile_circuit(gates: Sequence[Gate], m: int) -> list[_ControlledMatrix | _
     return [compile_gate(b[0], m) if len(b) == 1 else _block_op(b, m) for b in blocks]
 
 
-def _rewire(gate: Gate, targets: Sequence[int] | None) -> Gate:
-    if targets is None:
-        return gate
-    targets = tuple(int(q) for q in targets)
-    wires = gate.wires
-    if len(targets) != len(wires):
-        raise ContractError(
-            f"{gate.kind} spans {len(wires)} wires, cannot rewire onto {len(targets)}"
-        )
-    return gate.remapped(dict(zip(wires, targets)))
-
-
 def _check_range(gate: Gate, num_qubits: int) -> None:
     bad = [w for w in gate.wires if not 0 <= w < num_qubits]
     if bad:
@@ -282,32 +270,19 @@ def _check_range(gate: Gate, num_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 # public operations
 
-def apply_gate(state: PureState, gate: Gate, targets: Sequence[int] | None = None) -> PureState:
-    """Apply one gate to a pure state.
-
-    `targets`, when given, remaps the gate's wires (in canonical order:
-    controls, then the forced-zero qubit if any, then targets) onto the
-    listed state qubits.  By default the gate's own wiring is used.
-    """
-    g = _rewire(gate, targets)
-    _check_range(g, state.num_qubits)
-    if g.matrix is not None:
-        check_unitary(g.matrix)
+def apply_gate(state: PureState, gate: Gate) -> PureState:
+    """Apply one gate to a pure state."""
+    _check_range(gate, state.num_qubits)
+    if gate.matrix is not None:
+        check_unitary(gate.matrix)
     m = state.num_qubits
     # The op writes in place, and PureState shares the caller's array.
     amps = state.amplitudes.copy()
-    compile_gate(g, m)(amps.reshape((1,) + (2,) * m))
+    compile_gate(gate, m)(amps.reshape((1,) + (2,) * m))
     return PureState(m, amps)
 
 
-def evolve_density(
-    rho: DensityMatrix,
-    gate: Gate,
-    targets: Sequence[int] | None = None,
-    cap: int | None = None,
-    *,
-    check: bool = True,
-) -> DensityMatrix:
+def evolve_density(rho: DensityMatrix, gate: Gate, *, check: bool = True) -> DensityMatrix:
     """Conjugate a density matrix by the full gate unitary.
 
     Routed through the dense-matrix oracle on purpose; see the module
@@ -315,8 +290,7 @@ def evolve_density(
     O(4^m) hermiticity and trace checks of the result, for a caller that
     checks once after a run of steps.
     """
-    g = _rewire(gate, targets)
-    full = gate_matrix(g, rho.num_qubits, cap=cap)
+    full = gate_matrix(gate, rho.num_qubits)
     entries = full @ rho.entries @ full.conj().T
     if check:
         return DensityMatrix(rho.num_qubits, entries)

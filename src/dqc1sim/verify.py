@@ -32,7 +32,6 @@ from .circuits import (
     graph_proj_x,
     h,
 )
-from .config import DEFAULT_LIMITS
 from .distributions import OutcomeDistribution
 from .engine import all_zeros_probability, exact_distribution, sample
 from .errors import ContractError

@@ -220,10 +220,11 @@ def test_graph_proj_x_extra_zero_blocks_one_component():
     assert np.allclose(stays, np.kron([1.0, 0.0], np.kron([0.0, 1.0], plus)))
 
 
-def test_gate_matrix_resource_cap():
+def test_gate_matrix_resource_cap(monkeypatch):
     with pytest.raises(ResourceError):
         gate_matrix(h(0), 13)
-    gate_matrix(h(0), 13, cap=13)
+    monkeypatch.setattr("dqc1sim.circuits.DENSITY_CAP", 13)
+    gate_matrix(h(0), 13)
 
 
 def test_gate_matrix_rejects_out_of_range_wire():

@@ -4,12 +4,17 @@ import pytest
 
 from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, h, serialize_circuit, parse_circuit, serialize_unitary, t, x
 from dqc1sim.cli import main
-from dqc1sim.config import DEFAULT_LIMITS
+from dqc1sim.config import EXACT_CAP, REPORT_CAP
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.analysis import parse_distribution, serialize_distribution
 from dqc1sim.errors import ParseError
 from dqc1sim.engine import exact_distribution
-from dqc1sim.gadgets import MbqcPattern, linear_pattern_target_probs, serialize_pattern
+from dqc1sim.gadgets import (
+    MbqcPattern,
+    linear_pattern_target_probs,
+    parse_pattern,
+    serialize_pattern,
+)
 
 
 @pytest.fixture
@@ -294,20 +299,43 @@ def test_check_error_incomparable(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# JSON booleans and negative indices at the parse boundary
+# JSON booleans, strings and negative indices at the parse boundary
 
 def _circuit_doc(gate):
     return {"total_qubits": 2, "clean_qubits": [0], "gates": [gate], "measure": [0]}
 
 
-# case -> (document, its location of the error); bool subclasses int, so
-# each of these was once read as 1, 0 or 1.0.
+def _pattern_doc(edges):
+    return {"graph": {"n": 2, "edges": edges}, "angles": {"0": 0.5}, "outputs": [1]}
+
+
+def _u1q_doc(u):
+    return _circuit_doc({"g": "U1Q", "q": [1], "u": u})
+
+
+_ONE_BOOL_EDGE = {"n": 1, "edges": [[True, 0]]}
+
+# case -> (document, its location of the error); bool subclasses int, and
+# float() and int() read strings, so each of these once parsed: as 1, 0 or
+# 1.0, as the identity matrix, or as the edge (0, 1).
 _NOT_NUMBERS = {
     "measured-bool": ({"measured": [True, 0], "probs": {"00": 0.5, "11": 0.5}}, "$.measured"),
     "measured-negative": ({"measured": [-3], "probs": {"0": 1.0}}, "$.measured"),
     "probs-bool": ({"measured": [0], "probs": {"0": True, "1": False}}, "$.probs"),
     "theta-bool": (_circuit_doc({"g": "RZ", "q": [1], "theta": True}), "$.gates[0].theta"),
     "qubit-bool": (_circuit_doc({"g": "H", "q": [True]}), "$.gates[0].q"),
+    "matrix-strings-and-bools": (
+        _u1q_doc([[["1", False], [0, 0]], [[0, 0], [True, "0"]]]),
+        "$.gates[0].u[0][0]",
+    ),
+    "matrix-bool": (_u1q_doc([[[1, 0], [0, 0]], [[0, 0], [True, 0]]]), "$.gates[0].u[1][1]"),
+    "edge-string-and-float": (_pattern_doc([["0", 1.9]]), "$.graph.edges[0]"),
+    "edge-bool": (_pattern_doc([[True, 0]]), "$.graph.edges[0]"),
+    "edge-three-ends": (_pattern_doc([[0, 1], [0, 1, 0]]), "$.graph.edges[1]"),
+    "gate-graph-edge-bool": (
+        _circuit_doc({"g": "GraphProjX", "q": [0], "c": [1], "graph": _ONE_BOOL_EDGE}),
+        "$.gates[0].graph.edges[0]",
+    ),
 }
 
 
@@ -315,19 +343,41 @@ _NOT_NUMBERS = {
 def test_booleans_and_negative_indices_exit_2(capsys, tmp_path, case):
     doc, location = _NOT_NUMBERS[case]
     text = json.dumps(doc)
-    parser = parse_circuit if "gates" in doc else parse_distribution
-    with pytest.raises(ParseError) as err:
-        parser(text)
-    assert err.value.location == location
     path = tmp_path / "doc.json"
     path.write_text(text)
     if "gates" in doc:
-        argv = ["exact", "--circuit", str(path)]
+        parser, argv = parse_circuit, ["exact", "--circuit", str(path)]
+    elif "graph" in doc:
+        out_file = str(tmp_path / "out.json")
+        parser = parse_pattern
+        argv = ["compile", "--pattern", str(path), "--mode", "n1", "--out", out_file]
     else:
-        argv = ["check-error", str(path), str(path)]
+        parser, argv = parse_distribution, ["check-error", str(path), str(path)]
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.location == location
     code, out, err_text = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err_text.startswith(f"error: {location}: ") and err_text.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# seeds outside Philox's 128-bit key range
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_seed_outside_key_range_exits_2(capsys, tmp_path, coin_file, command, seed):
+    if command == "run":
+        argv = ["run", "--circuit", coin_file]
+    else:
+        path = tmp_path / "id.json"
+        path.write_text(serialize_unitary(Circuit(1, (h(0),))))
+        argv = ["trace", "--unitary", str(path)]
+    code, out, err = _run(capsys, argv + ["--shots", "10", "--seed", seed])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +424,7 @@ def test_compile_file_ends_in_one_newline(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "k",
-    [DEFAULT_LIMITS.report_cap + 1, DEFAULT_LIMITS.exact_cap + 1],
+    [REPORT_CAP + 1, EXACT_CAP + 1],
     ids=["report-cap", "document-cap"],
 )
 def test_check_error_over_cap_exits_3(capsys, tmp_path, k):

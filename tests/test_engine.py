@@ -10,7 +10,6 @@ import dqc1sim.circuits
 import dqc1sim.engine
 import dqc1sim.qstate
 from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, cnot, cu, graph_proj_x, h, mcx, x
-from dqc1sim.config import DEFAULT_LIMITS, Limits
 from dqc1sim.engine import (
     all_zeros_probability,
     build_input,
@@ -102,13 +101,13 @@ def test_exact_cap_is_hard():
         exact_distribution(dc)
 
 
-def test_exact_cap_is_configurable():
-    tight = Limits(density_cap=4, exact_cap=6)
+def test_exact_cap_is_configurable(monkeypatch):
+    monkeypatch.setattr("dqc1sim.engine.EXACT_CAP", 6)
     big = _plain(7, (), measured=(0,))
     with pytest.raises(ResourceError):
-        exact_distribution(big, limits=tight)
+        exact_distribution(big)
     ok = _plain(6, (), measured=(0,))
-    assert exact_distribution(ok, limits=tight).prob("0") == pytest.approx(1.0)
+    assert exact_distribution(ok).prob("0") == pytest.approx(1.0)
 
 
 def test_unknown_method_rejected():

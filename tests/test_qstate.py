@@ -154,17 +154,6 @@ def test_graph_proj_x_kernel_matches_dense():
     assert np.allclose(out.amplitudes, ref)
 
 
-def test_apply_gate_with_target_remap():
-    # targets remap the canonical wire list of the gate
-    out = apply_gate(PureState.zero(3), x(0), targets=(2,))
-    assert out.amplitudes[0b001] == 1.0
-
-
-def test_apply_gate_remap_rejects_wrong_len():
-    with pytest.raises(ContractError):
-        apply_gate(PureState.zero(2), cz(0, 1), targets=(0,))
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=50)
 def test_kernel_agrees_with_dense_matrix(seed):
@@ -211,10 +200,11 @@ def test_unchecked_evolve_density_keeps_the_bytes():
     assert unchecked.entries.tobytes() == checked.entries.tobytes()
 
 
-def test_evolve_density_cap():
+def test_evolve_density_cap(monkeypatch):
     rho = DensityMatrix(4, np.eye(16, dtype=complex) / 16.0)
+    monkeypatch.setattr("dqc1sim.circuits.DENSITY_CAP", 3)
     with pytest.raises(ResourceError):
-        evolve_density(rho, h(0), cap=3)
+        evolve_density(rho, h(0))
 
 
 # ---------------------------------------------------------------------------
