@@ -38,7 +38,6 @@ from .circuits import (
     t,
     tdg,
     u1q,
-    validate,
     x,
     y,
     z,

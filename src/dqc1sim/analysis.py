@@ -72,7 +72,7 @@ def estimate_trace(
     statistics: estimate = 2 p0 - 1, stderr = 2 sqrt(p0 (1-p0) / shots)."""
     dc = build_trace_circuit(u, part)
     record = sample(dc, shots, seed)
-    p0 = record.counts().get("0", 0) / shots
+    p0 = np.count_nonzero(record.outcomes == 0) / shots
     return TraceEstimate(
         normalized_trace_part=2.0 * p0 - 1.0,
         stderr=2.0 * math.sqrt(p0 * (1.0 - p0) / shots),

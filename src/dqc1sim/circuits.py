@@ -330,15 +330,41 @@ def graph_proj_x(
 # ---------------------------------------------------------------------------
 # circuits
 
+def _raise_problems(problems: list[Dqc1Error]) -> None:
+    if problems:
+        raise ValidationError("; ".join(str(p) for p in problems), problems=problems)
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered gate list on a fixed number of wires."""
+    """Ordered gate list on a fixed number of wires.
+
+    Checked once, when built: the width is at least one, every gate wire
+    lies inside it and every explicit matrix is unitary.  Otherwise a
+    ValidationError carries each violation in `problems`.
+    """
 
     total_qubits: int
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        n = self.total_qubits
+        if n < 1:
+            _raise_problems([ValidationError(f"total_qubits must be positive, got {n}")])
+        problems: list[Dqc1Error] = []
+        for i, g in enumerate(self.gates):
+            bad = [w for w in g.wires if not 0 <= w < n]
+            if bad:
+                problems.append(
+                    WiringError(f"gate {i} ({g.kind}) references out-of-range qubits {bad}")
+                )
+            if g.matrix is not None:
+                try:
+                    check_unitary(g.matrix)
+                except UnitarityError as err:
+                    problems.append(UnitarityError(f"gate {i} ({g.kind}): {err}"))
+        _raise_problems(problems)
 
     def __eq__(self, other):
         if not isinstance(other, Circuit):
@@ -353,6 +379,9 @@ class Dqc1Circuit:
     clean_qubits start in |0>, every other qubit starts maximally mixed.
     measured lists the terminally measured qubits in readout order.
     postselect optionally fixes some measured qubits to required bits.
+    Checked once, when built, like the circuit itself: both lists are
+    non-empty, distinct and in range, and postselection fixes measured
+    qubits to 0 or 1.
     """
 
     circuit: Circuit
@@ -367,6 +396,22 @@ class Dqc1Circuit:
             object.__setattr__(
                 self, "postselect", {int(q): int(b) for q, b in self.postselect.items()}
             )
+        n = self.total_qubits
+        problems: list[Dqc1Error] = []
+        for name, qubits in (("clean", self.clean_qubits), ("measured", self.measured)):
+            if not qubits:
+                problems.append(ContractError(f"{name} list is empty"))
+            if len(set(qubits)) != len(qubits):
+                problems.append(ContractError(f"{name} list has duplicates: {qubits}"))
+            bad = [q for q in qubits if not 0 <= q < n]
+            if bad:
+                problems.append(ContractError(f"{name} qubits out of range: {bad}"))
+        for q, b in (self.postselect or {}).items():
+            if q not in self.measured:
+                problems.append(ContractError(f"postselect on non-measured qubit {q}"))
+            if b not in (0, 1):
+                problems.append(ContractError(f"postselect bit for qubit {q} must be 0 or 1"))
+        _raise_problems(problems)
 
     @property
     def total_qubits(self) -> int:
@@ -389,53 +434,6 @@ class Dqc1Circuit:
             and self.clean_qubits == other.clean_qubits
             and self.measured == other.measured
             and self.postselect == other.postselect
-        )
-
-
-def validate(dc: Dqc1Circuit) -> list[Dqc1Error]:
-    """Collect every invariant violation; an empty list means the circuit is ok."""
-    problems: list[Dqc1Error] = []
-    n = dc.total_qubits
-    if n < 1:
-        problems.append(ValidationError(f"total_qubits must be positive, got {n}"))
-        return problems
-    for i, g in enumerate(dc.gates):
-        bad = [w for w in g.wires if not 0 <= w < n]
-        if bad:
-            problems.append(
-                WiringError(f"gate {i} ({g.kind}) references out-of-range qubits {bad}")
-            )
-        if g.matrix is not None:
-            try:
-                check_unitary(g.matrix)
-            except UnitarityError as err:
-                problems.append(UnitarityError(f"gate {i} ({g.kind}): {err}"))
-
-    def check_group(name: str, qubits: tuple[int, ...]):
-        if not qubits:
-            problems.append(ContractError(f"{name} list is empty"))
-        if len(set(qubits)) != len(qubits):
-            problems.append(ContractError(f"{name} list has duplicates: {qubits}"))
-        bad = [q for q in qubits if not 0 <= q < n]
-        if bad:
-            problems.append(ContractError(f"{name} qubits out of range: {bad}"))
-
-    check_group("clean", dc.clean_qubits)
-    check_group("measured", dc.measured)
-    if dc.postselect:
-        for q, b in dc.postselect.items():
-            if q not in dc.measured:
-                problems.append(ContractError(f"postselect on non-measured qubit {q}"))
-            if b not in (0, 1):
-                problems.append(ContractError(f"postselect bit for qubit {q} must be 0 or 1"))
-    return problems
-
-
-def require_valid(dc: Dqc1Circuit) -> None:
-    problems = validate(dc)
-    if problems:
-        raise ValidationError(
-            "; ".join(str(p) for p in problems), problems=problems
         )
 
 
@@ -694,16 +692,22 @@ def _loads(text: str) -> Any:
         raise ParseError(str(err), "$") from None
 
 
+def _width_field(obj: dict) -> int:
+    if type(obj["total_qubits"]) is not int or obj["total_qubits"] < 1:
+        raise ParseError("total_qubits must be a positive integer", "$.total_qubits")
+    return obj["total_qubits"]
+
+
 def parse_circuit(text: str) -> Dqc1Circuit:
-    """Parse and validate a circuit document; see serialize_circuit for the shape."""
+    """Parse a circuit document into a checked Dqc1Circuit; see
+    serialize_circuit for the shape."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object", "$")
     for field in ("total_qubits", "clean_qubits", "gates", "measure"):
         if field not in obj:
             raise ParseError(f"missing required field {field!r}", "$")
-    if type(obj["total_qubits"]) is not int:
-        raise ParseError("total_qubits must be an integer", "$.total_qubits")
+    total = _width_field(obj)
     gates = _gates_from_obj(obj["gates"], "$.gates")
     clean = _int_list(obj["clean_qubits"], "$.clean_qubits")
     measured = _int_list(obj["measure"], "$.measure")
@@ -718,9 +722,7 @@ def parse_circuit(text: str) -> Dqc1Circuit:
             if type(bit) is not int or bit not in (0, 1):
                 raise ParseError(f"postselect bit for qubit {key} must be 0 or 1", "$.postselect")
             postselect[q] = bit
-    dc = Dqc1Circuit(Circuit(obj["total_qubits"], gates), clean, measured, postselect)
-    require_valid(dc)
-    return dc
+    return Dqc1Circuit(Circuit(total, gates), clean, measured, postselect)
 
 
 def parse_unitary(text: str) -> Circuit:
@@ -728,17 +730,7 @@ def parse_unitary(text: str) -> Circuit:
     obj = _loads(text)
     if not isinstance(obj, dict) or "total_qubits" not in obj or "gates" not in obj:
         raise ParseError('expected an object with "total_qubits" and "gates"', "$")
-    if type(obj["total_qubits"]) is not int:
-        raise ParseError("total_qubits must be an integer", "$.total_qubits")
-    c = Circuit(obj["total_qubits"], _gates_from_obj(obj["gates"], "$.gates"))
-    problems: list[Dqc1Error] = []
-    for i, g in enumerate(c.gates):
-        bad = [w for w in g.wires if not 0 <= w < c.total_qubits]
-        if bad:
-            problems.append(WiringError(f"gate {i} ({g.kind}) references {bad}"))
-    if problems:
-        raise ValidationError("; ".join(str(p) for p in problems), problems=problems)
-    return c
+    return Circuit(_width_field(obj), _gates_from_obj(obj["gates"], "$.gates"))
 
 
 def serialize_unitary(c: Circuit) -> str:

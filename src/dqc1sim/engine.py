@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .bits import bitstring, scatter_bits
-from .circuits import Dqc1Circuit, _dense_dim, require_valid
+from .circuits import Dqc1Circuit, _dense_dim
 from .config import EXACT_CAP
 from .distributions import OutcomeDistribution
 from .errors import ContractError, ResourceError
@@ -42,8 +42,6 @@ class ShotRecord:
 
     measured_qubits: tuple[int, ...]
     outcomes: np.ndarray
-    seed: int
-    shot_count: int
 
     def bitstrings(self) -> Iterator[str]:
         k = len(self.measured_qubits)
@@ -58,7 +56,6 @@ class ShotRecord:
 def build_input(dc: Dqc1Circuit) -> DensityMatrix:
     """Initial state as an explicit density matrix (capped): |0><0| on the
     clean qubits, I/2 on every other qubit."""
-    require_valid(dc)
     m = dc.total_qubits
     size = 1 << len(dc.mixed_qubits)
     diag = np.zeros(_dense_dim(m))
@@ -88,16 +85,15 @@ def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray)
     return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
 
 
-def exact_distribution(dc: Dqc1Circuit, method: str = "auto") -> OutcomeDistribution:
+def exact_distribution(dc: Dqc1Circuit, method: str = "mixture") -> OutcomeDistribution:
     """Exact joint distribution over the measured qubits.
 
-    method "mixture" averages pure runs over the mixed-register basis, in
-    blocks of basis states, at O(gates * 4^m) work; "auto" is the same
-    route.  "density" evolves the full density matrix through the dense
+    method "mixture", the default, averages pure runs over the
+    mixed-register basis, in blocks of basis states, at O(gates * 4^m)
+    work.  "density" evolves the full density matrix through the dense
     oracle at O(gates * 8^m) and serves only as the independent check.
     Both routes agree within 1e-10 and the test suite holds them to that.
     """
-    require_valid(dc)
     m = dc.total_qubits
     if method == "density":
         rho = build_input(dc)
@@ -106,7 +102,7 @@ def exact_distribution(dc: Dqc1Circuit, method: str = "auto") -> OutcomeDistribu
         # Checked once for the whole run rather than after every gate.
         rho = DensityMatrix(m, rho.entries)
         weights = _outcome_weights(rho.entries.diagonal().real, m, dc.measured)[0]
-    elif method in ("auto", "mixture"):
+    elif method == "mixture":
         if m > EXACT_CAP:
             raise ResourceError(f"{m} qubits exceed the exact cap of {EXACT_CAP}")
         ops = compile_circuit(dc.gates, m)
@@ -123,7 +119,7 @@ def exact_distribution(dc: Dqc1Circuit, method: str = "auto") -> OutcomeDistribu
 
 
 def conditional_distribution(
-    dc: Dqc1Circuit, ps: Mapping[int, int], method: str = "auto"
+    dc: Dqc1Circuit, ps: Mapping[int, int], method: str = "mixture"
 ) -> OutcomeDistribution:
     """Exact distribution over the non-postselected measured qubits, given
     that every postselected qubit read its required bit."""
@@ -132,7 +128,7 @@ def conditional_distribution(
     return conditioned
 
 
-def all_zeros_probability(dc: Dqc1Circuit, method: str = "auto") -> float:
+def all_zeros_probability(dc: Dqc1Circuit, method: str = "mixture") -> float:
     """Probability that every measured clean qubit reads 0.
 
     Defined for circuits whose measured set is exactly the clean set.
@@ -161,7 +157,6 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
     from the exact conditional distribution and keep their full-length
     bitstrings (forced bits always match).
     """
-    require_valid(dc)
     if shots < 1:
         raise ContractError(f"need a positive shot count, got {shots}")
     if not 0 <= seed < 1 << 128:
@@ -191,4 +186,4 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
                 cdf[-1] = max(cdf[-1], 1.0)
                 outcomes[group] = np.searchsorted(cdf, uniforms[group], side="right")
     np.clip(outcomes, 0, (1 << k) - 1, out=outcomes)
-    return ShotRecord(dc.measured, outcomes, int(seed), shots)
+    return ShotRecord(dc.measured, outcomes)

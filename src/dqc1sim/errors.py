@@ -20,8 +20,8 @@ class UnitarityError(Dqc1Error):
 class ValidationError(Dqc1Error):
     """A circuit or document violates a structural invariant.
 
-    `problems` carries the individual violations when the error aggregates
-    the output of a whole-circuit validation pass.
+    `problems` carries the individual violations when a Circuit or a
+    Dqc1Circuit reports everything wrong with it as it is built.
     """
 
     def __init__(self, message: str, problems=None):

@@ -174,8 +174,8 @@ def compile_gate(g: Gate, m: int) -> _ControlledMatrix | _GraphFlip:
     place on a batch of B amplitude vectors viewed as (B,) + (2,)*m, one
     C-contiguous state per index of the first axis.
 
-    The gate is not validated here: callers check wiring and unitarity
-    once per job, before compiling.
+    The gate is not checked here: a Circuit checks its gates' wiring and
+    unitarity once, when it is built, and apply_gate checks a lone gate.
     """
     if g.kind == "GraphProjX":
         vec = g.graph.state_vector()
@@ -254,7 +254,7 @@ def _block_op(block: Sequence[Gate], m: int) -> _ControlledMatrix:
 
 def compile_circuit(gates: Sequence[Gate], m: int) -> list[_ControlledMatrix | _GraphFlip]:
     """Ready-to-run ops for a gate list, one per block of fuse_blocks; a
-    one-gate block keeps compile_gate's op.  Gates are checked by the caller."""
+    one-gate block keeps compile_gate's op.  The gates are not checked here."""
     blocks = fuse_blocks(gates)
     return [compile_gate(b[0], m) if len(b) == 1 else _block_op(b, m) for b in blocks]
 

@@ -28,11 +28,11 @@ from dqc1sim.circuits import (
     serialize_unitary,
     t,
     u1q,
-    validate,
     x,
     z,
 )
 from dqc1sim.errors import (
+    ContractError,
     ParseError,
     ResourceError,
     UnitarityError,
@@ -249,37 +249,68 @@ def test_random_gate_matrices_unitary(seed):
 
 
 # ---------------------------------------------------------------------------
-# Dqc1Circuit validation
+# circuits check themselves when built
+
+def _problems(build):
+    """The problems listed by the ValidationError that build() raises."""
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == "; ".join(str(p) for p in exc.value.problems)
+    return [(type(p), str(p)) for p in exc.value.problems]
+
 
 def test_validate_collects_problems():
     c = Circuit(2, (h(0),))
-    dc = Dqc1Circuit(c, (0, 0), (5,))
-    problems = validate(dc)
-    assert problems
-    kinds = {type(p) for p in problems}
-    assert kinds  # duplicate clean qubit and out-of-range measured qubit
+    assert _problems(lambda: Dqc1Circuit(c, (0, 0), (5,))) == [
+        (ContractError, "clean list has duplicates: (0, 0)"),
+        (ContractError, "measured qubits out of range: [5]"),
+    ]
+    bad = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+    gates = (cz(0, 2), u1q(bad, 0), cnot(3, 0))
+    problems = _problems(lambda: Circuit(2, gates))
+    assert [kind for kind, _ in problems] == [WiringError, UnitarityError, WiringError]
+    assert problems[0][1] == "gate 0 (CZ) references out-of-range qubits [2]"
+    assert problems[1][1].startswith("gate 1 (U1Q): unitarity residual")
+    assert problems[2][1] == "gate 2 (CNOT) references out-of-range qubits [3]"
 
 
 def test_validate_rejects_unmeasured_postselect():
-    dc = Dqc1Circuit(Circuit(2, ()), (0,), (0,), postselect={1: 1})
-    assert validate(dc)
+    c = Circuit(2, ())
+    assert _problems(lambda: Dqc1Circuit(c, (0,), (0,), postselect={1: 1})) == [
+        (ContractError, "postselect on non-measured qubit 1")
+    ]
+    assert _problems(lambda: Dqc1Circuit(c, (0,), (0,), postselect={0: 2})) == [
+        (ContractError, "postselect bit for qubit 0 must be 0 or 1")
+    ]
 
 
 def test_validate_rejects_gate_beyond_register():
-    dc = Dqc1Circuit(Circuit(1, (cz(0, 1),)), (0,), (0,))
-    assert any(isinstance(p, WiringError) for p in validate(dc))
+    assert _problems(lambda: Circuit(1, (cz(0, 1),))) == [
+        (WiringError, "gate 0 (CZ) references out-of-range qubits [1]")
+    ]
 
 
 def test_validate_flags_non_unitary_embedded_matrix():
     bad = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
     g = Gate(kind="U1Q", qubits=(0,), matrix=bad)
-    dc = Dqc1Circuit(Circuit(1, (g,)), (0,), (0,))
-    assert any(isinstance(p, UnitarityError) for p in validate(dc))
+    [(kind, message)] = _problems(lambda: Circuit(1, (g,)))
+    assert kind is UnitarityError
+    assert message.startswith("gate 0 (U1Q): unitarity residual")
 
 
 def test_clean_and_measured_must_be_nonempty():
-    assert validate(Dqc1Circuit(Circuit(1, ()), (), (0,)))
-    assert validate(Dqc1Circuit(Circuit(1, ()), (0,), ()))
+    c = Circuit(1, ())
+    assert _problems(lambda: Dqc1Circuit(c, (), (0,))) == [(ContractError, "clean list is empty")]
+    assert _problems(lambda: Dqc1Circuit(c, (0,), ())) == [
+        (ContractError, "measured list is empty")
+    ]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_circuit_needs_a_positive_width(n):
+    assert _problems(lambda: Circuit(n, ())) == [
+        (ValidationError, f"total_qubits must be positive, got {n}")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -486,3 +486,36 @@ def test_trace_has_no_density_cap_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--unitary", str(path), "--density-cap", "1"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# circuits check themselves once, when parsed
+
+
+@pytest.mark.parametrize(
+    "command, total",
+    [("trace", 0), ("trace", -1), ("exact", 0)],
+    ids=["trace-zero", "trace-negative", "exact-zero"],
+)
+def test_non_positive_width_exits_2(capsys, tmp_path, command, total):
+    path = tmp_path / "empty.json"
+    if command == "trace":
+        path.write_text(json.dumps({"total_qubits": total, "gates": []}))
+        argv = ["trace", "--unitary", str(path), "--shots", "10"]
+    else:
+        doc = {"total_qubits": total, "clean_qubits": [0], "gates": [], "measure": [0]}
+        path.write_text(json.dumps(doc))
+        argv = ["exact", "--circuit", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: $.total_qubits: ") and err.count("\n") == 1
+
+
+def test_trace_names_the_non_unitary_gate_of_its_input(capsys, tmp_path):
+    skew = [[[1, 0], [0, 0]], [[1, 0], [1, 0]]]
+    doc = {"total_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "U1Q", "q": [1], "u": skew}]}
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["trace", "--unitary", str(path), "--shots", "10"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: gate 1 (U1Q): unitarity residual") and err.count("\n") == 1

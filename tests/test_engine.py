@@ -45,9 +45,9 @@ def test_build_input_density_shape():
 
 
 def test_build_input_validates():
-    dc = Dqc1Circuit(Circuit(2, ()), (0, 0), (0,))
+    # The run context checks itself when built, so no engine call sees it.
     with pytest.raises(ValidationError):
-        build_input(dc)
+        Dqc1Circuit(Circuit(2, ()), (0, 0), (0,))
 
 
 def test_build_input_density_cap():
@@ -90,8 +90,8 @@ def test_density_method_respects_cap():
     dc = _plain(13, (), measured=(0,))
     with pytest.raises(ResourceError):
         exact_distribution(dc, "density")
-    # auto takes the mixture route, which the density cap does not bound
-    d = exact_distribution(dc, "auto")
+    # the default mixture route is not bounded by the density cap
+    d = exact_distribution(dc, "mixture")
     assert d.prob("0") == pytest.approx(1.0)
 
 
@@ -111,8 +111,9 @@ def test_exact_cap_is_configurable(monkeypatch):
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ContractError):
-        exact_distribution(_plain(1, ()), "exactly")
+    for method in ("exactly", "auto"):
+        with pytest.raises(ContractError):
+            exact_distribution(_plain(1, ()), method)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +320,11 @@ def test_auto_is_the_mixture_route_and_matches_the_oracle(m, postselect):
     dc = _route_circuit(100 + m, m, postselect)
     routes = [exact_distribution]
     if postselect:
-        routes.append(lambda dc, method: conditional_distribution(dc, dc.postselect, method))
+        routes.append(lambda dc, *method: conditional_distribution(dc, dc.postselect, *method))
     for route in routes:
-        auto, mixture, density = (route(dc, way) for way in ("auto", "mixture", "density"))
-        assert auto.pmf.tobytes() == mixture.pmf.tobytes()
-        assert np.max(np.abs(auto.pmf - density.pmf)) <= 1e-12
+        default, mixture, density = route(dc), route(dc, "mixture"), route(dc, "density")
+        assert default.pmf.tobytes() == mixture.pmf.tobytes()
+        assert np.max(np.abs(default.pmf - density.pmf)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))

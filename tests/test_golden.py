@@ -15,11 +15,11 @@ import json
 import numpy as np
 import pytest
 
-from dqc1sim import cli
-from dqc1sim.circuits import Dqc1Circuit, parse_circuit, serialize_circuit, serialize_unitary
+from dqc1sim import circuits, cli
+from dqc1sim.circuits import Dqc1Circuit, parse_circuit, parse_unitary, serialize_circuit, serialize_unitary
 from dqc1sim.cli import main
 from dqc1sim.engine import exact_distribution
-from dqc1sim.gadgets import compile_three, pattern_from_rotations, serialize_pattern
+from dqc1sim.gadgets import build_trace_circuit, compile_three, pattern_from_rotations, serialize_pattern
 from dqc1sim.randcirc import random_circuit, random_dqc1
 
 
@@ -160,5 +160,33 @@ def test_golden_exact_circuits_match_the_oracle(tmp_path, monkeypatch):
     for make in (_plain_circuit, _postselect_circuit):
         with open(make(), encoding="utf-8") as fh:
             dc = parse_circuit(fh.read())
-        fused, dense = (exact_distribution(dc, way).pmf for way in ("auto", "density"))
+        fused, dense = (exact_distribution(dc, way).pmf for way in ("mixture", "density"))
         assert np.max(np.abs(fused - dense)) <= 1e-12
+
+
+def _explicit(gates) -> int:
+    return sum(g.matrix is not None for g in gates)
+
+
+@pytest.mark.parametrize("command", ["exact", "run", "trace"])
+def test_each_explicit_matrix_is_checked_once(command, tmp_path, monkeypatch, capsys):
+    # A circuit checks its matrices when built; no later layer checks again.
+    monkeypatch.chdir(tmp_path)
+    if command == "trace":
+        path = _unitary()
+        with open(path, encoding="utf-8") as fh:
+            u = parse_unitary(fh.read())
+        # The input unitary, then the trace circuit built from it.
+        expected = _explicit(u.gates) + _explicit(build_trace_circuit(u).gates)
+        argv = ["trace", "--unitary", path, "--shots", "64"]
+    else:
+        path = _baked_circuit()
+        with open(path, encoding="utf-8") as fh:
+            expected = _explicit(parse_circuit(fh.read()).gates)
+        argv = [command, "--circuit", path] + (["--shots", "64"] if command == "run" else [])
+    assert expected > 0
+    calls = []
+    check = circuits.check_unitary
+    monkeypatch.setattr(circuits, "check_unitary", lambda mat: calls.append(1) or check(mat))
+    assert main(argv) == 0
+    assert len(calls) == expected

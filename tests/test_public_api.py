@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "multiplicative_error_report", "parse_circuit", "parse_distribution", "parse_pattern",
     "parse_unitary", "pattern_from_rotations", "run_suite", "rz", "s", "sample", "sdg",
     "serialize_circuit", "serialize_distribution", "serialize_pattern",
-    "serialize_unitary", "t", "tdg", "u1q", "validate", "x", "y", "z",
+    "serialize_unitary", "t", "tdg", "u1q", "x", "y", "z",
 ]
 
 

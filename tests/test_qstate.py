@@ -312,10 +312,10 @@ def _fusion_circuit(seed, m, postselect=False):
 @settings(max_examples=40, deadline=None)
 def test_fused_exact_matches_the_density_oracle(seed, m, postselect):
     dc = _fusion_circuit(seed, m, postselect)
-    fused, dense = (exact_distribution(dc, way) for way in ("auto", "density"))
+    fused, dense = (exact_distribution(dc, way) for way in ("mixture", "density"))
     assert np.max(np.abs(fused.pmf - dense.pmf)) <= 1e-12
     if postselect:
-        fused, dense = (conditional_distribution(dc, dc.postselect, way) for way in ("auto", "density"))
+        fused, dense = (conditional_distribution(dc, dc.postselect, way) for way in ("mixture", "density"))
         assert np.max(np.abs(fused.pmf - dense.pmf)) <= 1e-12
 
 
