@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .circuits import _index_field, parse_circuit, parse_unitary, serialize_circuit
 from .config import DEFAULT_SEED
-from .engine import exact_distribution, sample
+from .engine import _conditional, exact_distribution, sample
 from .errors import (
     ContractError,
     Dqc1Error,
@@ -85,10 +85,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
     assignments = dict(dc.postselect) if dc.postselect else None
     if args.postselect is not None:
         assignments = _parse_postselect(args.postselect)
-    dist = exact_distribution(dc)
     doc = {}
-    if assignments is not None:
-        dist, event = dist.condition(assignments)
+    if assignments is None:
+        dist = exact_distribution(dc)
+    else:
+        dist, event = _conditional(dc, assignments)
         doc = {
             "postselect": {str(q): b for q, b in sorted(assignments.items())},
             "postselection_probability": event,

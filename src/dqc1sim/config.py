@@ -23,11 +23,10 @@ DEFAULT_SEED = 12345
 # Size caps, each read where it is checked, before anything is allocated.
 # DENSITY_CAP bounds only the dense oracle: density-matrix evolution and
 # everything else that builds a full 2^m x 2^m matrix.  EXACT_CAP bounds
-# exact distributions, the average over the mixed-register basis, and the
-# width of distribution documents.  REPORT_CAP bounds the measured qubits
-# of a multiplicative-error report, which builds all 2^k - 1 marginals.
-# Pure-state sampling has no cap here and is limited only by memory: it
-# holds one block of amplitude vectors at a time.
+# every pure-state route, exact distributions and sampling alike (both run
+# 2^m-amplitude vectors), and the width of distribution documents.
+# REPORT_CAP bounds the measured qubits of a multiplicative-error report,
+# which builds all 2^k - 1 marginals.
 DENSITY_CAP = 12
 EXACT_CAP = 16
 REPORT_CAP = 14

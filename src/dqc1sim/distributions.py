@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,37 +118,7 @@ class OutcomeDistribution:
         unless keep_assigned is set, in which case outcomes keep their full
         width and non-matching outcomes carry probability zero.
         """
-        assignments = {int(q): int(b) for q, b in assignments.items()}
-        if not assignments:
-            raise ContractError("empty postselection assignment")
-        for q, b in assignments.items():
-            if q not in self.measured_qubits:
-                raise ContractError(f"postselected qubit {q} is not measured")
-            if b not in (0, 1):
-                raise ContractError(f"postselection bit for qubit {q} must be 0 or 1")
-        k = len(self.measured_qubits)
-        fixed = {self.measured_qubits.index(q): b for q, b in assignments.items()}
-        kept_positions = [i for i in range(k) if i not in fixed]
-        if not keep_assigned and not kept_positions:
-            raise ContractError("postselection leaves no measured qubits")
-
-        index = tuple(fixed.get(i, slice(None)) for i in range(k))
-        selected = self.pmf.reshape((2,) * k)[index]
-        # Summed one entry after another in index order; np.sum adds
-        # pairwise, which rounds differently.
-        event = float(np.cumsum(selected)[-1])
-        if event < ZERO_PROB_TOL:
-            raise PostselectionImpossibleError(
-                f"postselection {assignments} has probability {event}"
-            )
-        if keep_assigned:
-            qubits = self.measured_qubits
-            pmf = np.zeros((2,) * k)
-            pmf[index] = selected / event
-        else:
-            qubits = tuple(self.measured_qubits[i] for i in kept_positions)
-            pmf = selected / event
-        return OutcomeDistribution(qubits, pmf.reshape(-1)), event
+        return selector(self.measured_qubits, assignments, keep_assigned)(self.pmf)
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         if set(self.measured_qubits) != set(other.measured_qubits):
@@ -157,3 +127,46 @@ class OutcomeDistribution:
         if other.measured_qubits != self.measured_qubits:
             aligned = other.marginal(self.measured_qubits)
         return 0.5 * float(np.abs(self.pmf - aligned.pmf).sum())
+
+
+def selector(
+    measured: Sequence[int], assignments: Mapping[int, int], keep_assigned: bool = False
+) -> Callable[[np.ndarray], tuple[OutcomeDistribution, float]]:
+    """Check a qubit -> bit assignment against the measured qubits, then
+    return the function that conditions outcome weights on it, as
+    OutcomeDistribution.condition does.  The weights need not sum to one:
+    only the entries that match the assignment are read."""
+    assignments = {int(q): int(b) for q, b in assignments.items()}
+    if not assignments:
+        raise ContractError("empty postselection assignment")
+    for q, b in assignments.items():
+        if q not in measured:
+            raise ContractError(f"postselected qubit {q} is not measured")
+        if b not in (0, 1):
+            raise ContractError(f"postselection bit for qubit {q} must be 0 or 1")
+    k = len(measured)
+    fixed = {measured.index(q): b for q, b in assignments.items()}
+    kept_positions = [i for i in range(k) if i not in fixed]
+    if not keep_assigned and not kept_positions:
+        raise ContractError("postselection leaves no measured qubits")
+    index = tuple(fixed.get(i, slice(None)) for i in range(k))
+
+    def select(weights: np.ndarray) -> tuple[OutcomeDistribution, float]:
+        selected = weights.reshape((2,) * k)[index]
+        # Summed one entry after another in index order; np.sum adds
+        # pairwise, which rounds differently.
+        event = float(np.cumsum(selected)[-1])
+        if event < ZERO_PROB_TOL:
+            raise PostselectionImpossibleError(
+                f"postselection {assignments} has probability {event}"
+            )
+        if keep_assigned:
+            qubits = tuple(measured)
+            pmf = np.zeros((2,) * k)
+            pmf[index] = selected / event
+        else:
+            qubits = tuple(measured[i] for i in kept_positions)
+            pmf = selected / event
+        return OutcomeDistribution(qubits, pmf.reshape(-1)), event
+
+    return select

@@ -7,10 +7,28 @@ states, each run pure through the circuit compiled once into ops, one per
 fused block of at most qstate.FUSE_WIRES wires.  The basis states run in
 blocks of BLOCK_AMPLITUDES amplitudes: one pass of the ops runs every
 basis state of a block.  Full density-matrix conjugation is the dense
-oracle (capped), kept only to check the first route.  Sampling is per
-shot: draw a mixed-register basis state, run it pure, then draw the
-outcome, all from a counter-based random stream so a (seed, shot index)
-pair always yields the same shot; the distinct draws run in blocks too.
+oracle (capped), kept only to check the first route: it runs every gate
+and conditions its joint.
+
+The mixture route first cuts the circuit: a gate runs only once one of its
+wires has met a wire already reached from a clean wire, since every earlier
+gate acts on mixed wires alone, on I/2^|S|, which it leaves as it is.  With
+postselection it then runs only the starts that can pass.  A wire stays
+classical while only X, CNOT and MCX (bit flips of each start) or Z, S,
+Sdg, T, Tdg, RZ and CZ (a phase per start) act on it with classical wires
+alone, so it ends on a known bit per start; a start whose classical
+postselected wire reads the wrong bit adds exactly zero to the selected
+outcomes and is never run.  The filter is only valid on the cut gates: run
+uncut, the graph-state un-preparation of the paper's reductions spreads a
+start over the whole register.
+
+Sampling is per shot: draw a mixed-register basis state, run it pure
+through every gate (no cut, no filter: each shot is tied to its draw),
+then draw the outcome, all from a counter-based random stream so a (seed,
+shot index) pair always yields the same shot; the distinct draws run in
+blocks too.  Postselected shots are drawn from the mixture route's
+conditional distribution.  Every pure-state route is capped at EXACT_CAP
+qubits, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -21,9 +39,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .bits import bitstring, scatter_bits
-from .circuits import Dqc1Circuit, _dense_dim
+from .circuits import Dqc1Circuit, Gate, _dense_dim
 from .config import EXACT_CAP
-from .distributions import OutcomeDistribution
+from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
 from .qstate import DensityMatrix, _outcome_weights, compile_circuit, evolve_density
 
@@ -85,14 +103,82 @@ def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray)
     return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
 
 
+# Gates that map every basis state to one basis state: a bit flip of
+# each start, or a phase per start.
+_FLIPS = frozenset({"X", "CNOT", "MCX"})
+_PHASES = frozenset({"Z", "S", "Sdg", "T", "Tdg", "RZ", "CZ"})
+
+
+def _check_width(m: int) -> None:
+    if m > EXACT_CAP:
+        raise ResourceError(f"{m} qubits exceed the exact cap of {EXACT_CAP}")
+
+
+def _starts(dc: Dqc1Circuit) -> np.ndarray:
+    """Every mixed-register basis state as a packed m-qubit index, in order."""
+    m = dc.total_qubits
+    _check_width(m)
+    return scatter_bits(np.arange(1 << len(dc.mixed_qubits)), dc.mixed_qubits, m)
+
+
+def _cut(dc: Dqc1Circuit) -> list[Gate]:
+    """The gates whose wires meet a wire already reached from a clean wire.
+    Each dropped gate acts on mixed wires alone, whose I/2^|S| it keeps."""
+    reached = set(dc.clean_qubits)
+    kept = []
+    for g in dc.gates:
+        if not reached.isdisjoint(g.wires):
+            reached.update(g.wires)
+            kept.append(g)
+    return kept
+
+
+def _passing(
+    starts: np.ndarray, gates: Sequence[Gate], m: int, ps: Mapping[int, int]
+) -> np.ndarray:
+    """Mask of the starts that can pass the postselection: those whose
+    postselected wires that stay classical end on the required bit."""
+    values = starts.copy()
+    quantum: set[int] = set()
+    for g in gates:
+        if g.kind not in _FLIPS | _PHASES or not quantum.isdisjoint(g.wires):
+            quantum.update(g.wires)
+        elif g.kind in _FLIPS:
+            fire = np.ones(len(values), dtype=bool)
+            bits = g.polarities if g.kind == "MCX" else (1,)
+            for c, b in zip(g.controls, bits):
+                fire &= ((values >> (m - 1 - c)) & 1) == b
+            values ^= fire.astype(np.int64) << (m - 1 - g.qubits[0])
+    keep = np.ones(len(values), dtype=bool)
+    for q, b in ps.items():
+        if q not in quantum:
+            keep &= ((values >> (m - 1 - q)) & 1) == b
+    return keep
+
+
+def _summed_weights(dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray) -> np.ndarray:
+    """Outcome weights of pure runs of `gates` from `starts`, each weighted
+    1/2^(mixed qubits).  Rows are added one at a time in start order, as by
+    lone runs, so a start left out that adds zeros changes no byte."""
+    m = dc.total_qubits
+    ops = compile_circuit(gates, m)
+    weights = np.zeros(1 << len(dc.measured))
+    for block in _blocks(starts, m):
+        for row in _mixture_outcome_weights(dc, ops, block):
+            weights += row
+    weights *= 1.0 / (1 << len(dc.mixed_qubits))
+    return weights
+
+
 def exact_distribution(dc: Dqc1Circuit, method: str = "mixture") -> OutcomeDistribution:
     """Exact joint distribution over the measured qubits.
 
-    method "mixture", the default, averages pure runs over the
-    mixed-register basis, in blocks of basis states, at O(gates * 4^m)
-    work.  "density" evolves the full density matrix through the dense
-    oracle at O(gates * 8^m) and serves only as the independent check.
-    Both routes agree within 1e-10 and the test suite holds them to that.
+    method "mixture", the default, averages pure runs of the cut circuit
+    over the mixed-register basis, in blocks of basis states, at
+    O(gates * 4^m) work.  "density" evolves the full density matrix
+    through the dense oracle at O(gates * 8^m) and serves only as the
+    independent check.  Both routes agree within 1e-10 and the test suite
+    holds them to that.
     """
     m = dc.total_qubits
     if method == "density":
@@ -103,29 +189,33 @@ def exact_distribution(dc: Dqc1Circuit, method: str = "mixture") -> OutcomeDistr
         rho = DensityMatrix(m, rho.entries)
         weights = _outcome_weights(rho.entries.diagonal().real, m, dc.measured)[0]
     elif method == "mixture":
-        if m > EXACT_CAP:
-            raise ResourceError(f"{m} qubits exceed the exact cap of {EXACT_CAP}")
-        ops = compile_circuit(dc.gates, m)
-        size = 1 << len(dc.mixed_qubits)
-        weights = np.zeros(1 << len(dc.measured))
-        # Rows are added one at a time in start order, as by lone runs.
-        for block in _blocks(scatter_bits(np.arange(size), dc.mixed_qubits, m), m):
-            for row in _mixture_outcome_weights(dc, ops, block):
-                weights += row
-        weights *= 1.0 / size
+        weights = _summed_weights(dc, _cut(dc), _starts(dc))
     else:
         raise ContractError(f"unknown method {method!r}")
     return OutcomeDistribution(dc.measured, np.maximum(weights, 0.0))
+
+
+def _conditional(
+    dc: Dqc1Circuit, ps: Mapping[int, int], keep_assigned: bool = False
+) -> tuple[OutcomeDistribution, float]:
+    """The mixture route conditioned on `ps`, and the event probability:
+    the cut gates run from the passing starts only.  Its bytes are those of
+    the cut gates run over every start, then conditioned."""
+    select = selector(dc.measured, ps, keep_assigned)
+    gates, starts = _cut(dc), _starts(dc)
+    starts = starts[_passing(starts, gates, dc.total_qubits, ps)]
+    return select(_summed_weights(dc, gates, starts))
 
 
 def conditional_distribution(
     dc: Dqc1Circuit, ps: Mapping[int, int], method: str = "mixture"
 ) -> OutcomeDistribution:
     """Exact distribution over the non-postselected measured qubits, given
-    that every postselected qubit read its required bit."""
-    joint = exact_distribution(dc, method=method)
-    conditioned, _ = joint.condition(ps)
-    return conditioned
+    that every postselected qubit read its required bit.  "mixture" runs
+    only the starts that can pass; "density" conditions the oracle's joint."""
+    if method == "mixture":
+        return _conditional(dc, ps)[0]
+    return exact_distribution(dc, method).condition(ps)[0]
 
 
 def all_zeros_probability(dc: Dqc1Circuit, method: str = "mixture") -> float:
@@ -151,21 +241,22 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
     """Draw seeded i.i.d. shots from the circuit's exact distribution.
 
     Without postselection each shot draws a mixed-register basis state,
-    runs it through the compiled pure-state ops and draws the outcome;
-    identical basis draws share one simulation, and the distinct draws run
-    in blocks.  With postselection baked into the circuit, shots are drawn
-    from the exact conditional distribution and keep their full-length
-    bitstrings (forced bits always match).
+    runs it through the compiled pure-state ops of every gate and draws
+    the outcome; identical basis draws share one simulation, and the
+    distinct draws run in blocks.  With postselection baked into the
+    circuit, shots are drawn from the mixture route's exact conditional
+    distribution and keep their full-length bitstrings (forced bits always
+    match).  More than EXACT_CAP qubits raise ResourceError first.
     """
     if shots < 1:
         raise ContractError(f"need a positive shot count, got {shots}")
     if not 0 <= seed < 1 << 128:
         raise ContractError(f"seed must lie in [0, 2^128), got {seed}")
+    _check_width(dc.total_qubits)
     k = len(dc.measured)
     uniforms = _shot_uniforms(seed, shots)
     if dc.postselect:
-        joint = exact_distribution(dc)
-        conditioned, _ = joint.condition(dc.postselect, keep_assigned=True)
+        conditioned, _ = _conditional(dc, dc.postselect, keep_assigned=True)
         cdf = np.cumsum(conditioned.pmf)
         cdf[-1] = max(cdf[-1], 1.0)
         outcomes = np.searchsorted(cdf, uniforms[:, 1], side="right")

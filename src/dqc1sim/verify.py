@@ -33,7 +33,7 @@ from .circuits import (
     h,
 )
 from .distributions import OutcomeDistribution
-from .engine import all_zeros_probability, exact_distribution, sample
+from .engine import _conditional, all_zeros_probability, exact_distribution, sample
 from .errors import ContractError
 from .gadgets import (
     CompiledReduction,
@@ -258,17 +258,14 @@ def check_trace_contract(seed: int = 29, trials: int = 10) -> CheckResult:
 def reduction_conditional_tv(red: CompiledReduction) -> float:
     """Total variation between the compiled circuit's postselected output
     distribution and the pattern's directly computed branch distribution."""
-    joint = exact_distribution(red.circuit)
-    conditioned, _ = joint.condition(red.postselect)
+    conditioned, _ = _conditional(red.circuit, red.postselect)
     out = conditioned.marginal(red.output_qubits)
     target = OutcomeDistribution(out.measured_qubits, linear_pattern_target_probs(red.target))
     return out.total_variation(target)
 
 
 def reduction_event_probability(red: CompiledReduction) -> float:
-    joint = exact_distribution(red.circuit)
-    _, event = joint.condition(red.postselect)
-    return event
+    return _conditional(red.circuit, red.postselect)[1]
 
 
 def _random_angle_lists(rng: np.random.Generator, count: int, max_len: int):
@@ -303,8 +300,7 @@ def check_compiler_agreement(seed: int = 41, trials: int = 8) -> CheckResult:
         pattern = pattern_from_rotations(angles)
         outs = []
         for red in (compile_n_plus_1(pattern), compile_three(pattern)):
-            joint = exact_distribution(red.circuit)
-            conditioned, _ = joint.condition(red.postselect)
+            conditioned, _ = _conditional(red.circuit, red.postselect)
             outs.append(conditioned.marginal(red.output_qubits))
         # The compilers place the output on different wires, so compare by
         # outcome rather than by qubit label.

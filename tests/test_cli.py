@@ -154,6 +154,24 @@ def test_exact_resource_cap_exits_3(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("width", [40, 70])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_run_and_trace_over_the_width_cap_exit_3(capsys, tmp_path, command, width):
+    # A trace circuit adds the clean qubit to the unitary's wires.
+    if command == "run":
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_circuit(Dqc1Circuit(Circuit(width, (h(0),)), (0,), (0,))))
+        argv = ["run", "--circuit", str(path)]
+    else:
+        path = tmp_path / "wide_u.json"
+        path.write_text(serialize_unitary(Circuit(width - 1, (h(0),))))
+        argv = ["trace", "--unitary", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {width} qubits exceed the exact cap of {EXACT_CAP}\n"
+
+
 @pytest.mark.parametrize("command", ["exact", "run"])
 def test_exact_and_run_have_no_density_cap_flag(command, coin_file):
     with pytest.raises(SystemExit) as exc:

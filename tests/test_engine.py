@@ -9,21 +9,43 @@ from hypothesis import strategies as st
 import dqc1sim.circuits
 import dqc1sim.engine
 import dqc1sim.qstate
-from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, cnot, cu, graph_proj_x, h, mcx, x
+from dqc1sim.circuits import (
+    Circuit,
+    Dqc1Circuit,
+    Gate,
+    GraphSpec,
+    cnot,
+    cu,
+    cz,
+    graph_proj_x,
+    h,
+    mcx,
+    rz,
+    serialize_circuit,
+    x,
+)
+from dqc1sim.cli import main
 from dqc1sim.engine import (
+    _conditional,
+    _cut,
+    _passing,
+    _starts,
+    _summed_weights,
     all_zeros_probability,
     build_input,
     conditional_distribution,
     exact_distribution,
     sample,
 )
+from dqc1sim.distributions import selector
 from dqc1sim.errors import (
     ContractError,
     PostselectionImpossibleError,
     ResourceError,
     ValidationError,
 )
-from dqc1sim.randcirc import random_dqc1, random_unitary
+from dqc1sim.gadgets import compile_n_plus_1, compile_three, pattern_from_rotations
+from dqc1sim.randcirc import random_circuit, random_dqc1, random_unitary
 
 
 def _plain(total, gates, clean=(0,), measured=None):
@@ -340,3 +362,152 @@ def test_blocks_match_one_basis_state_per_block(m, seed, monkeypatch):
     monkeypatch.setattr(dqc1sim.engine, "BLOCK_AMPLITUDES", rows << m)
     blocked = exact_distribution(dc).pmf.tobytes(), sample(dc, 2000, seed=m).outcomes.tobytes()
     assert blocked == lone
+
+
+# ---------------------------------------------------------------------------
+# the conditional route: cut, then only the starts that can pass
+
+_CLASSICAL_KINDS = ("X", "CNOT", "MCX", "Z", "S", "Sdg", "T", "Tdg", "RZ", "CZ")
+
+
+def _classical_gate(rng, m):
+    """A random bit flip or diagonal gate on m >= 2 wires."""
+    kind = _CLASSICAL_KINDS[int(rng.integers(len(_CLASSICAL_KINDS)))]
+    wires = [int(q) for q in rng.permutation(m)]
+    if kind == "CNOT":
+        return cnot(wires[0], wires[1])
+    if kind == "CZ":
+        return cz(wires[0], wires[1])
+    if kind == "MCX":
+        k = int(rng.integers(0, min(3, m - 1) + 1))
+        return mcx(wires[1 : k + 1], tuple(int(b) for b in rng.integers(0, 2, size=k)), wires[0])
+    if kind == "RZ":
+        return rz(float(rng.uniform(-np.pi, np.pi)), wires[0])
+    return Gate(kind, (wires[0],))
+
+
+def _prefixed_circuit(seed, m, body_gates=6):
+    """A seeded postselected circuit on m >= 2 qubits: flips and diagonal
+    gates, a random body on some of the wires, then more flips and
+    diagonal gates.  The postselection fixes some measured qubits to their
+    bits in the likeliest outcome of the cut circuit, so it can pass."""
+    rng = np.random.default_rng(seed)
+    clean = tuple(sorted(int(q) for q in rng.choice(m, int(rng.integers(1, 3)), replace=False)))
+    body_wires = [int(q) for q in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)]
+    body = random_circuit(rng, len(body_wires), body_gates).gates
+    gates = [_classical_gate(rng, m) for _ in range(int(rng.integers(2, 8)))]
+    gates += [g.remapped(dict(enumerate(body_wires))) for g in body]
+    gates += [_classical_gate(rng, m) for _ in range(int(rng.integers(0, 4)))]
+    measured = tuple(int(q) for q in rng.permutation(m)[: int(rng.integers(2, min(m, 4) + 1))])
+    dc = Dqc1Circuit(Circuit(m, gates), clean, measured)
+    likeliest = int(np.argmax(exact_distribution(_cut_circuit(dc)).pmf))
+    k = len(measured)
+    fixed = rng.choice(k, size=int(rng.integers(1, k)), replace=False)
+    ps = {measured[i]: (likeliest >> (k - 1 - i)) & 1 for i in sorted(int(i) for i in fixed)}
+    return Dqc1Circuit(dc.circuit, clean, measured, postselect=ps)
+
+
+def _cut_circuit(dc):
+    return Dqc1Circuit(Circuit(dc.total_qubits, _cut(dc)), dc.clean_qubits, dc.measured)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 7), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_pruned_conditional_is_the_cut_run_over_every_start(seed, m, keep_assigned):
+    dc = _prefixed_circuit(seed, m)
+    want, want_event = exact_distribution(_cut_circuit(dc)).condition(dc.postselect, keep_assigned)
+    got, event = _conditional(dc, dc.postselect, keep_assigned)
+    assert got.measured_qubits == want.measured_qubits
+    assert got.pmf.tobytes() == want.pmf.tobytes()
+    assert event == want_event
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_pruned_conditional_matches_the_oracle(m):
+    dc = _prefixed_circuit(300 + m, m, body_gates=4 if m > 8 else 8)
+    got, event = _conditional(dc, dc.postselect)
+    want, want_event = exact_distribution(dc, "density").condition(dc.postselect)
+    assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
+    assert abs(event - want_event) <= 1e-12
+    assert conditional_distribution(dc, dc.postselect).pmf.tobytes() == got.pmf.tobytes()
+
+
+@pytest.mark.parametrize("compiler", [compile_three, compile_n_plus_1])
+@pytest.mark.parametrize("vertices", [2, 4, 6])
+def test_pruned_reductions_match_the_oracle(compiler, vertices):
+    red = compiler(pattern_from_rotations([0.7 - 0.4 * i for i in range(vertices - 1)]))
+    got, event = _conditional(red.circuit, red.postselect)
+    want, want_event = exact_distribution(red.circuit, "density").condition(red.postselect)
+    assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
+    assert abs(event - want_event) <= 1e-12
+
+
+def test_rule_a_drops_gates_before_any_clean_wire():
+    # h(1) and cnot(1, 2) act on I/4 before wire 1 meets the clean wire;
+    # h(3) acts on wire 3 alone, which no clean wire ever reaches.
+    early = [h(1), cnot(1, 2)]
+    late = [h(0), cnot(0, 1), h(3), cnot(1, 2)]
+    dc = Dqc1Circuit(Circuit(4, early + late), (0,), (0, 1, 2, 3))
+    assert _cut(dc) == [late[0], late[1], late[3]]
+    mixture, density = exact_distribution(dc), exact_distribution(dc, "density")
+    assert np.max(np.abs(mixture.pmf - density.pmf)) <= 1e-12
+    ps = {0: 1, 2: 0}
+    got = conditional_distribution(dc, ps)
+    want = conditional_distribution(dc, ps, "density")
+    assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
+
+
+def _pure_run_count(monkeypatch):
+    rows = []
+    run = dqc1sim.engine._mixture_outcome_weights
+    monkeypatch.setattr(
+        dqc1sim.engine,
+        "_mixture_outcome_weights",
+        lambda dc, ops, starts: rows.append(len(starts)) or run(dc, ops, starts),
+    )
+    return rows
+
+
+@pytest.mark.parametrize("vertices", [3, 5, 7])
+def test_one_start_survives_a_compile_three_chain(vertices, monkeypatch):
+    # The clean wire is set by one all-zero MCX from the ancilla and the
+    # register, then never touched: only the all-zero start can flip it.
+    dc = compile_three(pattern_from_rotations([0.3] * (vertices - 1))).circuit
+    starts, gates = _starts(dc), _cut(dc)
+    passing = _passing(starts, gates, dc.total_qubits, dc.postselect)
+    assert len(starts) == 1 << (vertices + 1)
+    assert starts[passing].tolist() == [0]
+    rows = _pure_run_count(monkeypatch)
+    _, event = _conditional(dc, dc.postselect)
+    assert rows == [1]
+    assert abs(event * 2.0 ** (2 * vertices) - 1.0) <= 1e-12
+
+
+def test_no_surviving_start_is_impossible(tmp_path, capsys, monkeypatch):
+    # Wire 0 reads bit 1 xor bit 1 = 0 on every start.
+    dc = Dqc1Circuit(Circuit(3, (cnot(1, 0), h(2), cnot(1, 0))), (0,), (0, 2))
+    starts = _starts(dc)
+    assert not _passing(starts, _cut(dc), 3, {0: 1}).any()
+    rows = _pure_run_count(monkeypatch)
+    with pytest.raises(PostselectionImpossibleError):
+        conditional_distribution(dc, {0: 1})
+    assert rows == []
+    path = tmp_path / "never.json"
+    path.write_text(serialize_circuit(dc))
+    assert main(["exact", "--circuit", str(path), "--postselect", "0=1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+
+
+def test_the_filter_needs_the_cut():
+    # Run the one passing start through the uncut gates instead: the
+    # graph-state un-preparation spreads it over the 2^4 register states,
+    # so the event comes out 16 times too small.
+    dc = compile_three(pattern_from_rotations([0.4, -1.2, 2.1])).circuit
+    starts = _starts(dc)
+    passing = starts[_passing(starts, _cut(dc), dc.total_qubits, dc.postselect)]
+    _, wrong = selector(dc.measured, dc.postselect)(_summed_weights(dc, dc.gates, passing))
+    _, event = _conditional(dc, dc.postselect)
+    _, oracle = exact_distribution(dc, "density").condition(dc.postselect)
+    assert abs(event - oracle) <= 1e-12
+    assert abs(wrong * 16 - oracle) <= 1e-12

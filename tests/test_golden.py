@@ -136,7 +136,9 @@ def test_golden_stdout(name, tmp_path, monkeypatch, capsys):
 
 # The `exact` documents of the dense density-matrix oracle.  The CLI takes
 # the mixture route, whose pmfs differ from the oracle's in the last bit;
-# these digests keep the oracle's own bytes pinned.
+# these digests keep the oracle's own bytes pinned.  A postselected `exact`
+# goes through the conditional route, so that route is patched as well: to
+# the oracle's joint, then conditioned.
 DENSITY_CASES = {
     "exact-plain": "76b85747434473c33bde457a279ecbf0878d06fe7b50c12d45828df10f97ec53",
     "exact-postselect": "82724f00b96adea67e60c5053c69539eed134b9f1847a4ff20a93a9bf09f2d89",
@@ -147,6 +149,9 @@ DENSITY_CASES = {
 def test_golden_density_oracle(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "exact_distribution", lambda dc: exact_distribution(dc, "density"))
+    monkeypatch.setattr(
+        cli, "_conditional", lambda dc, ps: exact_distribution(dc, "density").condition(ps)
+    )
     argv = CASES[name][0]()
     capsys.readouterr()
     assert main(argv) == 0
