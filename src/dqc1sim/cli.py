@@ -10,6 +10,7 @@ cap exceeded, 4 impossible postselection.  All randomness enters through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -157,7 +158,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="dqc1sim", description="One-clean-qubit circuit toolkit"
     )
@@ -202,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PostselectionImpossibleError as exc:

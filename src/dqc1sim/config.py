@@ -26,7 +26,10 @@ DEFAULT_SEED = 12345
 # every pure-state route, exact distributions and sampling alike (both run
 # 2^m-amplitude vectors), and the width of distribution documents.
 # REPORT_CAP bounds the measured qubits of a multiplicative-error report,
-# which builds all 2^k - 1 marginals.
+# which builds all 2^k - 1 marginals.  SHOTS_CAP bounds the shots of one
+# sampling run, which peaks at 32 bytes per shot (two float64 uniforms, the
+# scaled draws and their int64 copy), so 2^24 shots hold 512 MiB at most.
 DENSITY_CAP = 12
 EXACT_CAP = 16
 REPORT_CAP = 14
+SHOTS_CAP = 1 << 24

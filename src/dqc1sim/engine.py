@@ -26,9 +26,12 @@ Sampling is per shot: draw a mixed-register basis state, run it pure
 through every gate (no cut, no filter: each shot is tied to its draw),
 then draw the outcome, all from a counter-based random stream so a (seed,
 shot index) pair always yields the same shot; the distinct draws run in
-blocks too.  Postselected shots are drawn from the mixture route's
-conditional distribution.  Every pure-state route is capped at EXACT_CAP
-qubits, checked before anything is allocated.
+blocks too.  Shots are grouped by draw with one bincount and one stable
+argsort of the draws narrowed to the smallest unsigned type, which numpy
+sorts by radix up to 16 bits, so a group lists its shots in index order.
+Postselected shots are drawn from the mixture route's conditional
+distribution.  Every pure-state route is capped at EXACT_CAP qubits and
+sampling at SHOTS_CAP shots, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .bits import bitstring, scatter_bits
 from .circuits import Dqc1Circuit, Gate, _dense_dim
-from .config import EXACT_CAP
+from .config import EXACT_CAP, SHOTS_CAP
 from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
 from .qstate import DensityMatrix, _outcome_weights, compile_circuit, evolve_density
@@ -246,13 +249,16 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
     distinct draws run in blocks.  With postselection baked into the
     circuit, shots are drawn from the mixture route's exact conditional
     distribution and keep their full-length bitstrings (forced bits always
-    match).  More than EXACT_CAP qubits raise ResourceError first.
+    match).  More than EXACT_CAP qubits or SHOTS_CAP shots raise
+    ResourceError first.
     """
     if shots < 1:
         raise ContractError(f"need a positive shot count, got {shots}")
     if not 0 <= seed < 1 << 128:
         raise ContractError(f"seed must lie in [0, 2^128), got {seed}")
     _check_width(dc.total_qubits)
+    if shots > SHOTS_CAP:
+        raise ResourceError(f"{shots} shots exceed the shot cap of {SHOTS_CAP}")
     k = len(dc.measured)
     uniforms = _shot_uniforms(seed, shots)
     if dc.postselect:
@@ -265,8 +271,11 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
         draws = (uniforms[:, 0] * size).astype(np.int64)
         np.clip(draws, 0, size - 1, out=draws)
         uniforms = uniforms[:, 1].copy()  # frees room for the blocks
-        values, counts = np.unique(draws, return_counts=True)
-        order = np.argsort(draws, kind="stable")
+        counts = np.bincount(draws, minlength=size)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+        # Narrow keys: numpy sorts 16-bit keys stably by radix, same order.
+        order = np.argsort(draws.astype(np.min_scalar_type(size - 1)), kind="stable")
         outcomes = draws  # grouped already; each shot's entry becomes its outcome
         m = dc.total_qubits
         ops = compile_circuit(dc.gates, m)

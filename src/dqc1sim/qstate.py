@@ -23,7 +23,7 @@ the leftmost character of every outcome bitstring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -169,21 +169,27 @@ def _wires_first(wires: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
     return tuple(axes.index(w) for w in wires) + tuple(rest)
 
 
-def compile_gate(g: Gate, m: int) -> _ControlledMatrix | _GraphFlip:
+def compile_gate(
+    g: Gate, m: int, wire: Mapping[int, int] | None = None
+) -> _ControlledMatrix | _GraphFlip:
     """The ready-to-run op for one gate on m-qubit states.  An op acts in
     place on a batch of B amplitude vectors viewed as (B,) + (2,)*m, one
     C-contiguous state per index of the first axis.
 
-    The gate is not checked here: a Circuit checks its gates' wiring and
-    unitarity once, when it is built, and apply_gate checks a lone gate.
+    `wire` maps each of the gate's qubits to the axis it acts on, as
+    g.remapped(wire) would but without building a Gate; by default qubit q
+    is axis q.  The gate is not checked here: a Circuit checks its gates'
+    wiring and unitarity once, when it is built, and apply_gate checks a
+    lone gate.
     """
+    at = tuple if wire is None else (lambda qs: tuple(wire[q] for q in qs))
     if g.kind == "GraphProjX":
         vec = g.graph.state_vector()
         if g.extra_zero is not None:
             vec = np.kron(vec, np.array([1.0, 0.0], dtype=complex))
         # Canonical wire order: register, forced-zero qubit, target.
-        return _GraphFlip(_wires_first(g.wires, range(m)), vec)
-    controls, targets = g.controls, g.qubits
+        return _GraphFlip(_wires_first(at(g.wires), range(m)), vec)
+    controls, targets = at(g.controls), at(g.qubits)
     bits = g.polarities if g.kind == "MCX" else (1,) * len(controls)
     if g.kind in FIXED_1Q:
         mat = FIXED_1Q[g.kind]
@@ -192,7 +198,7 @@ def compile_gate(g: Gate, m: int) -> _ControlledMatrix | _GraphFlip:
     elif g.kind in ("U1Q", "CU"):
         mat = g.matrix
     elif g.kind == "CZ":
-        mat, controls, bits, targets = FIXED_1Q["Z"], g.qubits[:1], (1,), g.qubits[1:]
+        mat, controls, bits, targets = FIXED_1Q["Z"], targets[:1], (1,), targets[1:]
     elif g.kind in ("CNOT", "MCX"):
         mat = FIXED_1Q["X"]
     else:
@@ -230,15 +236,16 @@ def fuse_blocks(gates: Sequence[Gate]) -> list[list[Gate]]:
 
 def _block_op(block: Sequence[Gate], m: int) -> _ControlledMatrix:
     """One op for a block of gates on k <= FUSE_WIRES wires.  The gates' own
-    ops run on the block's 2^k basis states, whose images are the columns
-    of its matrix.  Each wire on which the matrix is exactly the identity
-    while the wire reads 0, and which it never flips, becomes a control."""
+    ops, compiled onto the k local wires, run on the block's 2^k basis
+    states, whose images are the columns of its matrix.  Each wire on which
+    the matrix is exactly the identity while the wire reads 0, and which it
+    never flips, becomes a control."""
     wires = sorted({w for g in block for w in g.wires})
     k = len(wires)
     rows = np.eye(1 << k, dtype=complex)  # row j: basis state j, then its image
     psi, local = rows.reshape((-1,) + (2,) * k), dict(zip(wires, range(k)))
     for g in block:
-        compile_gate(g.remapped(local), k)(psi)
+        compile_gate(g, k, local)(psi)
     mat, targets, fire = rows.T, wires, {}
     for w in wires:
         if len(targets) > 1:

@@ -8,7 +8,7 @@ import pytest
 
 from dqc1sim.analysis import multiplicative_error_report, parse_distribution
 from dqc1sim.circuits import Circuit, Dqc1Circuit, circuit_matrix, gate_matrix, h
-from dqc1sim.config import DENSITY_CAP, EXACT_CAP, REPORT_CAP
+from dqc1sim.config import DENSITY_CAP, EXACT_CAP, REPORT_CAP, SHOTS_CAP
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.engine import build_input, exact_distribution, sample
 from dqc1sim.errors import ResourceError
@@ -26,6 +26,10 @@ _OVER_CAP = {
     "exact": lambda: exact_distribution(_plain(EXACT_CAP + 1)),
     "sample": lambda: sample(_plain(EXACT_CAP + 1), 10, 1),
     "sample-70-qubits": lambda: sample(_plain(70), 10, 1),
+    "sample-shots": lambda: sample(_plain(2), SHOTS_CAP + 1, 1),
+    "sample-shots-postselected": lambda: sample(
+        Dqc1Circuit(Circuit(2, ()), (0,), (0,), postselect={0: 0}), SHOTS_CAP + 1, 1
+    ),
     "build-input": lambda: build_input(_plain(DENSITY_CAP + 1)),
     "gate-matrix": lambda: gate_matrix(h(0), DENSITY_CAP + 1),
     "circuit-matrix": lambda: circuit_matrix(Circuit(DENSITY_CAP + 1, (h(0),))),

@@ -4,7 +4,7 @@ import pytest
 
 from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, h, serialize_circuit, parse_circuit, serialize_unitary, t, x
 from dqc1sim.cli import main
-from dqc1sim.config import EXACT_CAP, REPORT_CAP
+from dqc1sim.config import EXACT_CAP, REPORT_CAP, SHOTS_CAP
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.analysis import parse_distribution, serialize_distribution
 from dqc1sim.errors import ParseError
@@ -170,6 +170,23 @@ def test_run_and_trace_over_the_width_cap_exit_3(capsys, tmp_path, command, widt
     assert code == 3
     assert out == ""
     assert err == f"error: {width} qubits exceed the exact cap of {EXACT_CAP}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_run_and_trace_over_the_shot_cap_exit_3(capsys, tmp_path, command):
+    # The cap is checked before the shots' uniforms are drawn.
+    if command == "run":
+        path = tmp_path / "coin.json"
+        path.write_text(serialize_circuit(Dqc1Circuit(Circuit(1, (h(0),)), (0,), (0,))))
+        argv = ["run", "--circuit", str(path)]
+    else:
+        path = tmp_path / "u.json"
+        path.write_text(serialize_unitary(Circuit(1, (h(0),))))
+        argv = ["trace", "--unitary", str(path)]
+    code, out, err = _run(capsys, argv + ["--shots", str(SHOTS_CAP + 1)])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {SHOTS_CAP + 1} shots exceed the shot cap of {SHOTS_CAP}\n"
 
 
 @pytest.mark.parametrize("command", ["exact", "run"])

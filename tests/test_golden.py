@@ -134,6 +134,29 @@ def test_golden_stdout(name, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
+    # One parser serves every call of a process: each case runs twice, in
+    # forward then reverse order, with a rejected flag and an unreadable
+    # file in between, and every stdout keeps its pinned bytes.
+    monkeypatch.chdir(tmp_path)
+
+    def run_cases(names):
+        for name in names:
+            make_argv, digest = CASES[name]
+            argv = make_argv()
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, name
+
+    run_cases(sorted(CASES))
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--circuit", "plain.json", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["exact", "--circuit", "missing.json"]) == 2
+    run_cases(sorted(CASES, reverse=True))
+    assert cli.build_parser() is cli.build_parser()
+
+
 # The `exact` documents of the dense density-matrix oracle.  The CLI takes
 # the mixture route, whose pmfs differ from the oracle's in the last bit;
 # these digests keep the oracle's own bytes pinned.  A postselected `exact`

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqc1sim.engine
+from dqc1sim import qstate
 from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, u1q, x
 from dqc1sim.circuits import Circuit, Dqc1Circuit, Gate, GraphSpec, check_unitary
 from dqc1sim.engine import conditional_distribution, exact_distribution
 from dqc1sim.errors import ContractError, ResourceError, UnitarityError
-from dqc1sim.gadgets import build_trace_circuit, compile_three, pattern_from_rotations
+from dqc1sim.gadgets import build_trace_circuit, compile_n_plus_1, compile_three, pattern_from_rotations
 from dqc1sim.qstate import (
     FUSE_WIRES,
     DensityMatrix,
@@ -23,7 +25,7 @@ from dqc1sim.qstate import (
     fuse_blocks,
     measure_probs,
 )
-from dqc1sim.randcirc import random_circuit, random_dqc1, random_unitary
+from dqc1sim.randcirc import random_circuit, random_dqc1, random_graph, random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -412,3 +414,85 @@ def test_trace_circuit_peels_the_clean_wire(seed):
     for op in controlled:
         assert op.sel[1] == 1
         assert len(op.mat) <= 1 << (FUSE_WIRES - 1)
+
+
+# ---------------------------------------------------------------------------
+# block compilation straight onto local wires
+
+def test_compile_circuit_builds_no_gate(monkeypatch):
+    # The golden circuits and the reductions, whole and cut: the blocks'
+    # gates are compiled onto their local wires, never remapped.
+    rng = np.random.default_rng(600)
+    circuits = [
+        random_dqc1(np.random.default_rng(101), 5, 24, clean_count=2, measured_count=3),
+        Dqc1Circuit(random_circuit(np.random.default_rng(103), 4, 20), (0, 1), (0, 1, 3)),
+        build_trace_circuit(random_circuit(np.random.default_rng(107), 3, 14)),
+    ]
+    for angles in ([0.4, -1.2, 2.1], [0.3, -0.9, 1.7], list(rng.uniform(-3, 3, size=7))):
+        pattern = pattern_from_rotations(angles)
+        circuits += [compile_three(pattern).circuit, compile_n_plus_1(pattern).circuit]
+    gate_lists = [dc.gates for dc in circuits] + [dqc1sim.engine._cut(dc) for dc in circuits]
+    built = []
+    check = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g.kind) or check(g))
+    for dc, gates in zip(circuits * 2, gate_lists):
+        ops = compile_circuit(gates, dc.total_qubits)
+        assert len(ops) < len(gates)
+    assert built == []
+
+
+_ONE_WIRE = ("H", "X", "T", "RZ", "U1Q")
+_MULTI_WIRE = ("CZ", "CNOT", "MCX", "CU", "GraphProjX")
+
+
+def _block_gate(rng, kind, wires):
+    """A random gate of `kind` on some of `wires` (at least two of them for
+    the kinds in _MULTI_WIRE)."""
+    w = [int(q) for q in rng.permutation(wires)]
+    if kind == "RZ":
+        return rz(float(rng.uniform(-np.pi, np.pi)), w[0])
+    if kind == "U1Q":
+        return u1q(random_unitary(rng, 2), w[0])
+    if kind in _ONE_WIRE:
+        return Gate(kind, (w[0],))
+    if kind == "CZ":
+        return cz(w[0], w[1])
+    if kind == "CNOT":
+        return cnot(w[0], w[1])
+    if kind == "MCX":
+        c = int(rng.integers(0, len(w)))
+        return mcx(w[:c], tuple(int(b) for b in rng.integers(0, 2, size=c)), w[c])
+    if kind == "CU":
+        t = int(rng.integers(1, len(w)))
+        c = int(rng.integers(1, len(w) - t + 1))
+        return cu(random_unitary(rng, 1 << t), w[:t], w[t : t + c])
+    n = int(rng.integers(1, len(w)))
+    extra = w[n + 1] if n + 1 < len(w) and rng.random() < 0.5 else None
+    return graph_proj_x(random_graph(rng, n), w[:n], w[n], extra)
+
+
+def _compile_remapped(g, m, wire=None):
+    """compile_gate as it was: remap the gate onto its wires, then compile."""
+    return compile_gate(g if wire is None else g.remapped(wire), m)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, FUSE_WIRES),
+    st.lists(st.sampled_from(_ONE_WIRE + _MULTI_WIRE), min_size=2, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_op_matches_remapped_gates(seed, m, k, kinds):
+    rng = np.random.default_rng(seed)
+    k = min(k, m)
+    wires = [int(q) for q in rng.permutation(m)[:k]]
+    if k == 1:
+        kinds = [kind for kind in kinds if kind in _ONE_WIRE] or ["H", "T"]
+    block = [_block_gate(rng, kind, wires) for kind in kinds]
+    op = qstate._block_op(block, m)
+    with mock.patch.object(qstate, "compile_gate", _compile_remapped):
+        ref = qstate._block_op(block, m)
+    assert op.sel == ref.sel and op.fwd == ref.fwd
+    assert op.mat.dtype == ref.mat.dtype and op.mat.shape == ref.mat.shape
+    assert op.mat.tobytes() == ref.mat.tobytes()
