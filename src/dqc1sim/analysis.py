@@ -374,10 +374,18 @@ def parse_distribution(text: str) -> OutcomeDistribution:
         raise ResourceError(f"{k} measured qubits exceed the exact cap of {EXACT_CAP}")
     if not isinstance(obj["probs"], dict):
         raise ParseError("probs must map bitstrings to probabilities", "$.probs")
-    probs = {
-        key: _number_field(val, f"probability of {key!r} must be a finite number", "$.probs")
-        for key, val in obj["probs"].items()
-    }
+    # Every value checked in one pass; the per-entry check only names the
+    # first bad one.
+    probs = obj["probs"]
+    try:
+        valid = set(map(type, probs.values())) <= {int, float} and all(
+            map(math.isfinite, probs.values())
+        )
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        for key, val in probs.items():
+            _number_field(val, f"probability of {key!r} must be a finite number", "$.probs")
     try:
         return OutcomeDistribution(tuple(obj["measured"]), probs)
     except ContractError as err:

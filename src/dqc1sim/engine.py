@@ -6,9 +6,11 @@ routes.  The default is the uniform average over mixed-register basis
 states, each run pure through the circuit compiled once into ops, one per
 fused block of at most qstate.FUSE_WIRES wires.  The basis states run in
 blocks of BLOCK_AMPLITUDES amplitudes: one pass of the ops runs every
-basis state of a block.  Full density-matrix conjugation is the dense
-oracle (capped), kept only to check the first route: it runs every gate
-and conditions its joint.
+basis state of a block.  A first op that is a controlled matrix is not
+run but written: a start it fires on takes the matrix column of its
+target bits, the bytes the op gives a basis state.  Full density-matrix
+conjugation is the dense oracle (capped), kept only to check the first
+route: it runs every gate and conditions its joint.
 
 The mixture route first cuts the circuit: a gate runs only once one of its
 wires has met a wire already reached from a clean wire, since every earlier
@@ -46,7 +48,13 @@ from .circuits import Dqc1Circuit, Gate, _dense_dim
 from .config import EXACT_CAP, SHOTS_CAP
 from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
-from .qstate import DensityMatrix, _outcome_weights, compile_circuit, evolve_density
+from .qstate import (
+    DensityMatrix,
+    _ControlledMatrix,
+    _outcome_weights,
+    compile_circuit,
+    evolve_density,
+)
 
 # Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
 # states.  Larger blocks raise the sampler's peak memory, not its speed.
@@ -97,9 +105,20 @@ def _blocks(starts: np.ndarray, m: int) -> Iterator[np.ndarray]:
 
 def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> np.ndarray:
     """Outcome weights of pure runs of the compiled ops, one row per basis
-    state in `starts`; each row is bit-identical to a run of its state alone."""
+    state in `starts`; each row is bit-identical to a run of its state alone.
+    A first controlled matrix is not run: a start it fires on takes the
+    matrix column of its target bits, which is what the op makes of a
+    basis state, and any other start keeps its basis vector."""
     m = dc.total_qubits
-    amps = (starts[:, None] == np.arange(1 << m)).astype(complex)  # row r: basis state starts[r]
+    amps = np.zeros((len(starts), 1 << m), dtype=complex)
+    amps[np.arange(len(starts)), starts] = 1.0  # row r: basis state starts[r]
+    if ops and isinstance(ops[0], _ControlledMatrix):
+        first, ops = ops[0], ops[1:]
+        on = np.flatnonzero(_reading(starts, first.fire, m))
+        spread = scatter_bits(np.arange(len(first.mat)), first.targets, m)
+        own = starts[on, None] & spread[-1]  # each firing start's target bits
+        at = (starts[on, None] ^ own) | spread
+        amps[on[:, None], at] = first.mat.T[(own == spread).argmax(1)]
     psi = amps.reshape((len(starts),) + (2,) * m)
     for op in ops:
         _apply_gate_kernel(op, psi)
@@ -136,6 +155,13 @@ def _cut(dc: Dqc1Circuit) -> list[Gate]:
     return kept
 
 
+def _reading(values: np.ndarray, bits: Mapping[int, int], m: int) -> np.ndarray:
+    """Mask of the packed m-qubit indices on which each qubit q of `bits`
+    reads bits[q]."""
+    mask = sum(1 << (m - 1 - q) for q in bits)
+    return (values & mask) == sum(b << (m - 1 - q) for q, b in bits.items())
+
+
 def _passing(
     starts: np.ndarray, gates: Sequence[Gate], m: int, ps: Mapping[int, int]
 ) -> np.ndarray:
@@ -147,16 +173,10 @@ def _passing(
         if g.kind not in _FLIPS | _PHASES or not quantum.isdisjoint(g.wires):
             quantum.update(g.wires)
         elif g.kind in _FLIPS:
-            fire = np.ones(len(values), dtype=bool)
             bits = g.polarities if g.kind == "MCX" else (1,)
-            for c, b in zip(g.controls, bits):
-                fire &= ((values >> (m - 1 - c)) & 1) == b
+            fire = _reading(values, dict(zip(g.controls, bits)), m)
             values ^= fire.astype(np.int64) << (m - 1 - g.qubits[0])
-    keep = np.ones(len(values), dtype=bool)
-    for q, b in ps.items():
-        if q not in quantum:
-            keep &= ((values >> (m - 1 - q)) & 1) == b
-    return keep
+    return _reading(values, {q: b for q, b in ps.items() if q not in quantum}, m)
 
 
 def _summed_weights(dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray) -> np.ndarray:

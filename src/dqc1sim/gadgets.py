@@ -115,15 +115,14 @@ def controlled_gates(g: Gate, control: int) -> list[Gate]:
     if kind == "CU":
         return [cu(g.matrix, g.qubits, (control,) + g.controls)]
     if kind == "GraphProjX":
-        # Unfold the projector flip and add the control to its trigger.
+        # Unfold the projector flip and control every gate of it, so the
+        # unfolding acts under the control like any other controlled gate.
         register = list(g.controls)
-        extra = [] if g.extra_zero is None else [g.extra_zero]
-        controls = register + extra + [control]
-        polarities = (0,) * (len(register) + len(extra)) + (1,)
-        gates = cluster_unitary_inverse(g.graph, register)
-        gates.append(mcx(controls, polarities, g.qubits[0]))
-        gates += cluster_unitary(g.graph, register)
-        return gates
+        zeros = register + ([] if g.extra_zero is None else [g.extra_zero])
+        flip = mcx(zeros, (0,) * len(zeros), g.qubits[0])
+        unfolded = cluster_unitary_inverse(g.graph, register) + [flip]
+        unfolded += cluster_unitary(g.graph, register)
+        return [cv for v in unfolded for cv in controlled_gates(v, control)]
     raise ContractError(f"cannot control gate kind {kind!r}")
 
 

@@ -6,12 +6,14 @@ batch of amplitude vectors, each viewed as a rank-m tensor of 2s, so no
 blocks of at most FUSE_WIRES wires, one op per block: the block's matrix
 comes from its gates' own ops run on its 2^k basis states, and a wire on
 which the block acts only while it reads 1 is peeled off as a control, so
-a block of gates under the clean qubit touches half of each state.  A
-lone or wider gate keeps its own op: a controlled matrix (CZ is Z on its
+a block of gates under the clean qubit touches half of each state (in a
+trace circuit that holds for the gates that unfold a graph projector too).
+A lone or wider gate keeps its own op: a controlled matrix (CZ is Z on its
 second qubit under the first, CNOT and MCX are X under controls) or, for
 GraphProjX, a projector flip.  An op rounds each state of a batch as if
-alone.  A block applied to a basis state returns that column exactly, so
-the first block of a run gives the same bytes as its gates one by one.
+alone.  A controlled matrix applied to a basis state returns the column of
+its matrix exactly, so the engine writes a run's first op as those columns
+and its first block gives the same bytes as its gates one by one.
 The density path deliberately goes the other way: it conjugates by the
 full gate matrix from the dense oracle, so the two routes stay
 independent and can check each other.
@@ -123,7 +125,9 @@ FUSE_WIRES = 4
 
 @dataclass(frozen=True)
 class _ControlledMatrix:
-    """`mat` on the target axes of psi[sel].transpose(fwd), per state.
+    """`mat` on the target axes of psi[sel].transpose(fwd), per state: on
+    the qubits `targets`, first one the most significant bit of a row of
+    `mat`, where every qubit q of `fire` reads fire[q].
 
     sel keeps the batch axis, fixes every control axis to its firing bit
     and keeps the other axes whole, so psi[sel] is a view; fwd keeps the
@@ -133,6 +137,8 @@ class _ControlledMatrix:
     sel: tuple
     fwd: tuple[int, ...]
     mat: np.ndarray
+    fire: dict
+    targets: tuple[int, ...]
 
     def __call__(self, psi: np.ndarray) -> None:
         view = psi[self.sel].transpose(self.fwd)
@@ -211,7 +217,7 @@ def _controlled(mat: np.ndarray, fire: dict, targets: Sequence[int], m: int) -> 
     sel = (slice(None),) + tuple(fire.get(q, slice(None)) for q in range(m))
     free = [q for q in range(m) if q not in fire]
     fwd = (0,) + tuple(1 + i for i in _wires_first(targets, free))
-    return _ControlledMatrix(sel, fwd, mat)
+    return _ControlledMatrix(sel, fwd, mat, fire, tuple(targets))
 
 
 def fuse_blocks(gates: Sequence[Gate]) -> list[list[Gate]]:

@@ -471,3 +471,24 @@ def test_parse_distribution_rejects_garbage():
         parse_distribution(json.dumps({"measured": [0]}))
     with pytest.raises(ParseError):
         parse_distribution(json.dumps({"measured": [0], "probs": {"0": 0.9, "1": 0.2}}))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["true", '"0.5"', "NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["bool", "string", "nan", "infinity", "minus-infinity", "huge-int"],
+)
+def test_parse_distribution_names_the_first_bad_probability(bad):
+    # The one-pass check of every value falls back to the per-entry check,
+    # which names the first bad entry; a later bad entry is not named.
+    text = '{"measured": [0, 1], "probs": {"00": 0.5, "01": %s, "10": 0.5, "11": "x"}}' % bad
+    with pytest.raises(ParseError) as exc:
+        parse_distribution(text)
+    assert str(exc.value) == "$.probs: probability of '01' must be a finite number"
+
+
+def test_parse_distribution_takes_ints_and_floats_as_floats():
+    text = '{"measured": [0, 1], "probs": {"00": 0, "01": 1, "10": 0.0, "11": 0e0}}'
+    d = parse_distribution(text)
+    assert d.pmf.dtype == float
+    assert d.pmf.tolist() == [0.0, 1.0, 0.0, 0.0]

@@ -44,7 +44,8 @@ from dqc1sim.errors import (
     ResourceError,
     ValidationError,
 )
-from dqc1sim.gadgets import compile_n_plus_1, compile_three, pattern_from_rotations
+from dqc1sim.gadgets import compile_n_plus_1, compile_three, controlled_gates, pattern_from_rotations
+from dqc1sim.qstate import compile_circuit
 from dqc1sim.randcirc import random_circuit, random_dqc1, random_unitary
 
 
@@ -321,6 +322,7 @@ def test_auto_never_calls_the_dense_oracle(monkeypatch):
 def test_density_never_runs_the_pure_kernels(monkeypatch):
     dc = _route_circuit(6, 5)
     monkeypatch.setattr(dqc1sim.engine, "_apply_gate_kernel", _raise)
+    monkeypatch.setattr(dqc1sim.engine, "_mixture_outcome_weights", _raise)
     exact_distribution(dc, "density")
 
 
@@ -362,6 +364,87 @@ def test_blocks_match_one_basis_state_per_block(m, seed, monkeypatch):
     monkeypatch.setattr(dqc1sim.engine, "BLOCK_AMPLITUDES", rows << m)
     blocked = exact_distribution(dc).pmf.tobytes(), sample(dc, 2000, seed=m).outcomes.tobytes()
     assert blocked == lone
+
+
+def _every_op_run(dc, ops, starts):
+    """_mixture_outcome_weights with the first op run on the basis batch
+    like every other op, instead of written as matrix columns."""
+    m = dc.total_qubits
+    amps = (starts[:, None] == np.arange(1 << m)).astype(complex)
+    psi = amps.reshape((len(starts),) + (2,) * m)
+    for op in ops:
+        op(psi)
+    return dqc1sim.qstate._outcome_weights(np.abs(amps) ** 2, m, dc.measured)
+
+
+def _first_op_circuit(kind, seed):
+    """A 6-qubit circuit whose first op, on both the sampled and the cut
+    route, is of the given kind, with starts that fire it and starts that
+    do not; the clean wire is the head's first target."""
+    rng = np.random.default_rng(seed)
+    w = [int(q) for q in rng.permutation(6)]
+    tail = list(random_circuit(rng, 6, 8).gates)
+    if kind == "peeled":
+        # Every gate under the mixed wire w[0], as in a trace circuit, so
+        # each fused block peels w[0] off as a control.
+        u = (g.remapped(lambda q: w[1 + q]) for g in random_circuit(rng, 5, 10).gates)
+        gates = [cg for g in u for cg in controlled_gates(g, w[0])]
+        clean = w[1]
+    elif kind == "mcx0":
+        # Five wires: wider than a fused block, so it stays a lone MCX.
+        gates, clean = [mcx(w[:4], (0,) * 4, w[4])] + tail, w[4]
+    elif kind == "graph":
+        # Five wires too: the first op stays a projector flip.
+        graph = GraphSpec(3, ((0, 1), (1, 2)))
+        gates, clean = [graph_proj_x(graph, w[:3], w[3], w[4])] + tail, w[3]
+    else:
+        gates, clean = tail, w[0]
+    measured = tuple(sorted({clean, w[5], w[2]}))
+    return Dqc1Circuit(Circuit(6, tuple(gates)), (clean,), measured)
+
+
+def _route_bytes(dc, bit):
+    ps = {dc.measured[-1]: bit}
+    try:
+        cond, event = _conditional(dc, ps)
+        cond = (cond.pmf.tobytes(), float(event).hex())
+    except PostselectionImpossibleError:
+        cond = "impossible"
+    baked = Dqc1Circuit(dc.circuit, dc.clean_qubits, dc.measured, postselect=ps)
+    try:
+        baked_shots = sample(baked, 300, seed=5).outcomes.tobytes()
+    except PostselectionImpossibleError:
+        baked_shots = "impossible"
+    shots = sample(dc, 3000, seed=4).outcomes.tobytes()
+    return exact_distribution(dc).pmf.tobytes(), cond, shots, baked_shots
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["peeled", "mcx0", "graph", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([1, 3, 32]),
+    bit=st.integers(0, 1),
+)
+def test_first_op_written_as_columns_keeps_every_byte(kind, seed, rows, bit):
+    # rows starts per block: one, a partial last block of 32 mixed starts,
+    # or all of them in one.
+    dc = _first_op_circuit(kind, seed)
+    engine = dqc1sim.engine
+    first = [compile_circuit(gates, 6)[0] for gates in (dc.gates, _cut(dc)) if gates]
+    if kind == "peeled":
+        control = dc.gates[0].controls[0]
+        assert all(op.fire.get(control) == 1 for op in first)
+    elif kind == "mcx0":
+        assert all(op.fire == dict.fromkeys(dc.gates[0].controls, 0) for op in first)
+    elif kind == "graph":
+        assert all(type(op).__name__ == "_GraphFlip" for op in first)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "BLOCK_AMPLITUDES", rows << 6)
+        written = _route_bytes(dc, bit)
+        mp.setattr(engine, "_mixture_outcome_weights", _every_op_run)
+        run = _route_bytes(dc, bit)
+    assert written == run
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, circuit_matrix, gate_matrix, t
+from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, circuit_matrix, gate_matrix, graph_proj_x, t
 from dqc1sim.engine import conditional_distribution, exact_distribution
 from dqc1sim.errors import ContractError, ParseError
 from dqc1sim.gadgets import (
@@ -26,7 +26,7 @@ from dqc1sim.gadgets import (
     pattern_from_rotations,
     serialize_pattern,
 )
-from dqc1sim.qstate import PureState, apply_gate, fidelity
+from dqc1sim.qstate import PureState, apply_gate, compile_circuit, fidelity, fuse_blocks
 from dqc1sim.randcirc import random_circuit, random_graph
 from dqc1sim.verify import reduction_conditional_tv, w_branch_stats
 
@@ -127,17 +127,41 @@ def test_w_prime_postselected_state():
 # controlled embedding
 
 def test_controlled_gates_block_structure():
-    rng = np.random.default_rng(4)
-    u = random_circuit(rng, 2, 6)
-    controlled = [
-        cg for gate in u.gates for cg in controlled_gates(gate.shifted(1), 0)
-    ]
-    full = circuit_matrix(Circuit(3, tuple(controlled)))
-    u_mat = circuit_matrix(u)
-    want = np.zeros((8, 8), dtype=complex)
-    want[:4, :4] = np.eye(4)
-    want[4:, 4:] = u_mat
-    assert np.max(np.abs(full - want)) < 1e-10
+    # Every emitted gate lists the control, the graph projector's
+    # unfolding included, and the whole is I (+) u.
+    pair = GraphSpec(2, ((0, 1),))
+    for u in (
+        random_circuit(np.random.default_rng(4), 2, 6),
+        Circuit(3, (graph_proj_x(pair, (0, 2), 1),)),
+        Circuit(4, (graph_proj_x(pair, (2, 0), 3, extra_zero=1),)),
+        Circuit(4, (graph_proj_x(GraphSpec(3, ((0, 1), (1, 2))), (1, 3, 0), 2),)),
+    ):
+        controlled = [
+            cg for gate in u.gates for cg in controlled_gates(gate.shifted(1), 0)
+        ]
+        assert all(0 in cg.controls for cg in controlled)
+        full = circuit_matrix(Circuit(u.total_qubits + 1, tuple(controlled)))
+        d = 1 << u.total_qubits
+        want = np.zeros((2 * d, 2 * d), dtype=complex)
+        want[:d, :d] = np.eye(d)
+        want[d:, d:] = circuit_matrix(u)
+        assert np.max(np.abs(full - want)) < 1e-10
+
+
+def test_trace_circuit_ops_act_under_the_clean_wire():
+    # Each fused block but the two holding the clean wire's own H (and
+    # Sdg) leaves the clean wire as a control, so it touches half of each
+    # state; the graph projector's unfolding too.
+    u = random_circuit(np.random.default_rng(119), 4, 14)
+    assert any(g.kind == "GraphProjX" and g.extra_zero is not None for g in u.gates)
+    for part in ("real", "imaginary"):
+        dc = build_trace_circuit(u, part)
+        blocks = fuse_blocks(dc.gates)
+        ops = compile_circuit(dc.gates, dc.total_qubits)
+        own = [i for i, b in enumerate(blocks) if any(0 in g.qubits for g in b)]
+        assert own == [0, len(blocks) - 1]
+        assert all(op.fire.get(0) == 1 for i, op in enumerate(ops) if i not in own)
+        assert all(0 not in ops[i].fire for i in own)
 
 
 # ---------------------------------------------------------------------------

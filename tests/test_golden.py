@@ -55,6 +55,14 @@ def _unitary() -> str:
     return _write("u.json", serialize_unitary(random_circuit(np.random.default_rng(107), 3, 14)))
 
 
+def _graph_unitary() -> str:
+    # Draws GraphProjX twice: on a two-vertex edge with an extra_zero wire,
+    # and on one vertex without.
+    u = random_circuit(np.random.default_rng(119), 4, 14)
+    assert any(g.kind == "GraphProjX" and g.extra_zero is not None for g in u.gates)
+    return _write("ug.json", serialize_unitary(u))
+
+
 def _error_pair() -> list[str]:
     rng = np.random.default_rng(109)
     p = rng.uniform(0.5, 1.5, size=64)
@@ -102,6 +110,14 @@ CASES = {
     "trace-imaginary": (
         lambda: ["trace", "--unitary", _unitary(), "--part", "imaginary", "--shots", "20000", "--seed", "14"],
         "392b2638090128d1ec4c1beda6a69f9ecdd6ccb1690d1e66316e7ea2802ec0e9",
+    ),
+    "trace-graph-real": (
+        lambda: ["trace", "--unitary", _graph_unitary(), "--part", "real", "--shots", "20000", "--seed", "15"],
+        "9bc7d8c30c6cf61769dde66f4adc327c19825606108c05d1ae253add856e3136",
+    ),
+    "trace-graph-imaginary": (
+        lambda: ["trace", "--unitary", _graph_unitary(), "--part", "imaginary", "--shots", "20000", "--seed", "16"],
+        "51c22e1bd8a489693c7b092266dee38ae3a18426a391f3a95834169af95028a1",
     ),
     "check-error-k6": (
         lambda: ["check-error", *_error_pair()],

@@ -1,8 +1,15 @@
-"""The names dqc1sim exports, pinned: adding or removing one shows in the diff."""
+"""The names dqc1sim exports and the modules its CLI imports, pinned: adding
+or removing one shows in the diff."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import dqc1sim
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
     "AcceptanceVerdict", "CheckResult", "Circuit", "CompiledReduction",
@@ -32,3 +39,28 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+# Top-level modules that importing the CLI loads on top of numpy.  Every
+# CLI call of a fresh process pays for them, so a new one shows here.
+CLI_IMPORTS = {
+    "__future__", "_json", "argparse", "cmath", "copy", "dataclasses", "dqc1sim",
+    "gettext", "json",
+}
+
+
+def test_cli_import_loads_no_new_module():
+    code = (
+        "import sys, numpy\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        "import dqc1sim.cli\n"
+        "print(' '.join(sorted({name.partition('.')[0] for name in sys.modules} - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "dqc1sim" in loaded
+    assert loaded <= CLI_IMPORTS, sorted(loaded - CLI_IMPORTS)
