@@ -78,7 +78,6 @@ from .gadgets import (
     pattern_from_rotations,
     serialize_pattern,
 )
-from .qstate import DensityMatrix, PureState, apply_gate, evolve_density, fidelity, measure_probs
 from .verify import SUITES, CheckResult, run_suite
 
 __version__ = "0.1.0"

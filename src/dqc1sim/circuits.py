@@ -56,14 +56,14 @@ def rz_matrix(theta: float) -> np.ndarray:
     )
 
 
-def check_unitary(mat: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+def check_unitary(mat: np.ndarray) -> None:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise UnitarityError(f"matrix of shape {mat.shape} is not square")
     with np.errstate(all="ignore"):  # non-finite entries give a NaN residual
         resid = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
-    if not resid <= tol:
-        raise UnitarityError(f"unitarity residual {resid:.3e} exceeds {tol:.1e}")
+    if not resid <= UNITARITY_TOL:
+        raise UnitarityError(f"unitarity residual {resid:.3e} exceeds {UNITARITY_TOL:.1e}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,11 @@
 """Centralized numeric tolerances and size caps."""
 
-# Squared-norm drift allowed on pure states.
-NORM_TOL = 1e-9
-
 # Entrywise tolerance on |U U+ - I| for any matrix claimed unitary.
 UNITARITY_TOL = 1e-10
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PROB_SUM_TOL = 1e-10
-
-# Eigenvalue floor when a density matrix is explicitly checked for positivity.
-PSD_TOL = 1e-9
 
 # Below this, a postselection event counts as impossible rather than as a
 # legitimate tiny probability.  Desk-scale events of interest sit far above it.

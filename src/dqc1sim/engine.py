@@ -44,17 +44,11 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .bits import bitstring, scatter_bits
-from .circuits import Dqc1Circuit, Gate, _dense_dim
-from .config import EXACT_CAP, SHOTS_CAP
+from .circuits import Dqc1Circuit, Gate, _dense_dim, gate_matrix
+from .config import EXACT_CAP, HERMITICITY_TOL, SHOTS_CAP, TRACE_TOL
 from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
-from .qstate import (
-    DensityMatrix,
-    _ControlledMatrix,
-    _outcome_weights,
-    compile_circuit,
-    evolve_density,
-)
+from .qstate import _ControlledMatrix, _outcome_weights, compile_circuit
 
 # Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
 # states.  Larger blocks raise the sampler's peak memory, not its speed.
@@ -82,14 +76,24 @@ class ShotRecord:
         return {bitstring(int(v), k): int(f) for v, f in zip(values, freq)}
 
 
-def build_input(dc: Dqc1Circuit) -> DensityMatrix:
-    """Initial state as an explicit density matrix (capped): |0><0| on the
-    clean qubits, I/2 on every other qubit."""
+def build_input(dc: Dqc1Circuit) -> np.ndarray:
+    """Initial state as an explicit 2^m x 2^m density matrix (capped):
+    |0><0| on the clean qubits, I/2 on every other qubit."""
     m = dc.total_qubits
     size = 1 << len(dc.mixed_qubits)
     diag = np.zeros(_dense_dim(m))
     diag[scatter_bits(np.arange(size), dc.mixed_qubits, m)] = 1.0 / size
-    return DensityMatrix(m, np.diag(diag.astype(complex)))
+    return np.diag(diag.astype(complex))
+
+
+def _check_density(rho: np.ndarray) -> None:
+    """Raise ContractError unless rho is Hermitian with unit trace."""
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    if not herm <= HERMITICITY_TOL:
+        raise ContractError(f"hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    tr = complex(np.trace(rho))
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ContractError(f"trace {tr} is off unity beyond {TRACE_TOL:.1e}")
 
 
 def _apply_gate_kernel(op, psi: np.ndarray) -> None:
@@ -207,10 +211,11 @@ def exact_distribution(dc: Dqc1Circuit, method: str = "mixture") -> OutcomeDistr
     if method == "density":
         rho = build_input(dc)
         for g in dc.gates:
-            rho = evolve_density(rho, g, check=False)
+            full = gate_matrix(g, m)
+            rho = full @ rho @ full.conj().T
         # Checked once for the whole run rather than after every gate.
-        rho = DensityMatrix(m, rho.entries)
-        weights = _outcome_weights(rho.entries.diagonal().real, m, dc.measured)[0]
+        _check_density(rho)
+        weights = _outcome_weights(rho.diagonal().real, m, dc.measured)[0]
     elif method == "mixture":
         weights = _summed_weights(dc, _cut(dc), _starts(dc))
     else:
@@ -241,15 +246,14 @@ def conditional_distribution(
     return exact_distribution(dc, method).condition(ps)[0]
 
 
-def all_zeros_probability(dc: Dqc1Circuit, method: str = "mixture") -> float:
+def all_zeros_probability(dc: Dqc1Circuit) -> float:
     """Probability that every measured clean qubit reads 0.
 
     Defined for circuits whose measured set is exactly the clean set.
     """
     if set(dc.measured) != set(dc.clean_qubits):
         raise ContractError("all-zeros probability needs measured set == clean set")
-    joint = exact_distribution(dc, method=method)
-    return float(joint.pmf[0])
+    return float(exact_distribution(dc).pmf[0])
 
 
 def _shot_uniforms(seed: int, shots: int) -> np.ndarray:

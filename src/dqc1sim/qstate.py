@@ -1,6 +1,6 @@
-"""Pure-state and density-matrix simulation kernels.
+"""Compiled pure-state ops.
 
-The pure path compiles a gate list once into ops that run in place on a
+A gate list compiles once into ops that run in place on a
 batch of amplitude vectors, each viewed as a rank-m tensor of 2s, so no
 2^m x 2^m matrix is ever built.  compile_circuit groups the gates into
 blocks of at most FUSE_WIRES wires, one op per block: the block's matrix
@@ -14,9 +14,10 @@ GraphProjX, a projector flip.  An op rounds each state of a batch as if
 alone.  A controlled matrix applied to a basis state returns the column of
 its matrix exactly, so the engine writes a run's first op as those columns
 and its first block gives the same bytes as its gates one by one.
-The density path deliberately goes the other way: it conjugates by the
-full gate matrix from the dense oracle, so the two routes stay
-independent and can check each other.
+States are plain complex arrays: the engine's density route conjugates
+by the dense oracle's full gate matrices instead, and this module
+imports none of them, so the two routes stay independent and can check
+each other.
 
 Bit convention: qubit 0 is the most significant bit of a basis index and
 the leftmost character of every outcome bitstring.
@@ -30,93 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bits import gather_bits
-from .circuits import FIXED_1Q, Gate, check_unitary, gate_matrix, rz_matrix
-from .config import HERMITICITY_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
-from .distributions import OutcomeDistribution
-from .errors import ContractError, WiringError
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized amplitude vector over 2^num_qubits basis states."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
-        if self.num_qubits < 1:
-            raise ContractError(f"need at least one qubit, got {self.num_qubits}")
-        if amps.size != 1 << self.num_qubits:
-            raise ContractError(
-                f"{amps.size} amplitudes do not fit {self.num_qubits} qubits"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ContractError(f"squared norm {norm_sq} is off unity beyond {NORM_TOL}")
-
-    @classmethod
-    def basis(cls, num_qubits: int, index: int) -> "PureState":
-        if not 0 <= index < (1 << num_qubits):
-            raise ContractError(f"basis index {index} out of range")
-        amps = np.zeros(1 << num_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "PureState":
-        return cls.basis(num_qubits, 0)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace matrix over 2^num_qubits basis states.
-
-    Positivity is not re-checked on every construction (it is an O(d^3)
-    eigendecomposition); call validate_psd() where it matters.
-    """
-
-    num_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", mat)
-        dim = 1 << self.num_qubits
-        if self.num_qubits < 1 or mat.shape != (dim, dim):
-            raise ContractError(f"entries of shape {mat.shape} do not fit {self.num_qubits} qubits")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm <= HERMITICITY_TOL:
-            raise ContractError(f"hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ContractError(f"trace {tr} is off unity beyond {TRACE_TOL:.1e}")
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        v = state.amplitudes
-        return cls(state.num_qubits, np.outer(v, v.conj()))
-
-    @classmethod
-    def _unchecked(cls, num_qubits: int, entries: np.ndarray) -> "DensityMatrix":
-        """A matrix whose hermiticity and trace the caller checks later."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "num_qubits", num_qubits)
-        object.__setattr__(rho, "entries", entries)
-        return rho
-
-    def validate_psd(self, tol: float = PSD_TOL) -> None:
-        lo = float(np.linalg.eigvalsh(self.entries)[0])
-        if lo < -tol:
-            raise ContractError(f"smallest eigenvalue {lo:.3e} below -{tol:.1e}")
-
-
-# ---------------------------------------------------------------------------
-# compiled pure-state ops
+from .circuits import FIXED_1Q, Gate, rz_matrix
+from .errors import ContractError
 
 # Widest block of gates fused into one matrix: in interleaved timings 4
 # beat 3, 5 and 6 on trace sampling and on the reductions alike.
@@ -185,8 +101,7 @@ def compile_gate(
     `wire` maps each of the gate's qubits to the axis it acts on, as
     g.remapped(wire) would but without building a Gate; by default qubit q
     is axis q.  The gate is not checked here: a Circuit checks its gates'
-    wiring and unitarity once, when it is built, and apply_gate checks a
-    lone gate.
+    wiring and unitarity once, when it is built.
     """
     at = tuple if wire is None else (lambda qs: tuple(wire[q] for q in qs))
     if g.kind == "GraphProjX":
@@ -272,44 +187,6 @@ def compile_circuit(gates: Sequence[Gate], m: int) -> list[_ControlledMatrix | _
     return [compile_gate(b[0], m) if len(b) == 1 else _block_op(b, m) for b in blocks]
 
 
-def _check_range(gate: Gate, num_qubits: int) -> None:
-    bad = [w for w in gate.wires if not 0 <= w < num_qubits]
-    if bad:
-        raise WiringError(
-            f"{gate.kind} references qubits {bad} outside a {num_qubits}-qubit state"
-        )
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-def apply_gate(state: PureState, gate: Gate) -> PureState:
-    """Apply one gate to a pure state."""
-    _check_range(gate, state.num_qubits)
-    if gate.matrix is not None:
-        check_unitary(gate.matrix)
-    m = state.num_qubits
-    # The op writes in place, and PureState shares the caller's array.
-    amps = state.amplitudes.copy()
-    compile_gate(gate, m)(amps.reshape((1,) + (2,) * m))
-    return PureState(m, amps)
-
-
-def evolve_density(rho: DensityMatrix, gate: Gate, *, check: bool = True) -> DensityMatrix:
-    """Conjugate a density matrix by the full gate unitary.
-
-    Routed through the dense-matrix oracle on purpose; see the module
-    docstring.  Subject to the dense size cap.  check=False skips the
-    O(4^m) hermiticity and trace checks of the result, for a caller that
-    checks once after a run of steps.
-    """
-    full = gate_matrix(gate, rho.num_qubits)
-    entries = full @ rho.entries @ full.conj().T
-    if check:
-        return DensityMatrix(rho.num_qubits, entries)
-    return DensityMatrix._unchecked(rho.num_qubits, entries)
-
-
 def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray:
     """Fold rows of 2^m probabilities onto the listed qubits, into rows of
     2^k weights; one bincount adds each row in index order, as if alone."""
@@ -318,32 +195,3 @@ def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray
     idx = gather_bits(np.arange(1 << m, dtype=np.int64), qubits, m)
     keys = (np.arange(len(p), dtype=np.int64)[:, None] << k) + idx
     return np.bincount(keys.ravel(), weights=p.ravel(), minlength=len(p) << k).reshape(-1, 1 << k)
-
-
-def measure_probs(state: PureState | DensityMatrix, qubits: Sequence[int]) -> OutcomeDistribution:
-    """Computational-basis outcome distribution over the listed qubits.
-
-    Outcomes are packed in the order of `qubits`, the first listed qubit
-    as the most significant bit.
-    """
-    qubits = tuple(int(q) for q in qubits)
-    if not qubits:
-        raise ContractError("measurement needs at least one qubit")
-    if len(set(qubits)) != len(qubits):
-        raise ContractError(f"measured qubits must be distinct: {qubits}")
-    bad = [q for q in qubits if not 0 <= q < state.num_qubits]
-    if bad:
-        raise ContractError(f"measured qubits out of range: {bad}")
-    if isinstance(state, PureState):
-        p = state.probabilities()
-    else:
-        p = state.entries.diagonal().real
-    weights = _outcome_weights(p, state.num_qubits, qubits)[0]
-    return OutcomeDistribution(qubits, np.maximum(weights, 0.0))
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """Squared overlap |<a|b>|^2 of two pure states."""
-    if a.num_qubits != b.num_qubits:
-        raise ContractError("states live on different qubit counts")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

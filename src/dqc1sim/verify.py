@@ -27,10 +27,8 @@ from .circuits import (
     Gate,
     GraphSpec,
     circuit_matrix,
-    cnot,
     gate_matrix,
     graph_proj_x,
-    h,
 )
 from .distributions import OutcomeDistribution
 from .engine import _conditional, all_zeros_probability, exact_distribution, sample
@@ -46,8 +44,8 @@ from .gadgets import (
     linear_pattern_target_probs,
     pattern_from_rotations,
 )
-from .qstate import PureState, apply_gate, compile_circuit
-from .randcirc import random_circuit, random_dqc1, random_graph, random_unitary
+from .qstate import compile_circuit
+from .randcirc import random_circuit, random_dqc1, random_unitary
 
 
 @dataclass(frozen=True)
@@ -84,29 +82,37 @@ def check_gate_unitarity(seed: int = 7) -> CheckResult:
     return _result("gate-matrix-unitarity", worst, 1e-10)
 
 
+def _run(gates: Sequence[Gate], m: int, states: np.ndarray) -> np.ndarray:
+    """The gates compiled once by compile_circuit and run on a copy of each
+    row of `states`, a (B, 2^m) batch that is itself left as it is."""
+    out = np.array(states, dtype=complex, order="C")
+    psi = out.reshape((len(out),) + (2,) * m)
+    for op in compile_circuit(gates, m):
+        op(psi)
+    return out
+
+
 def check_kernel_matches_matrix(seed: int = 11) -> CheckResult:
-    # The tensor kernels against the dense oracle, on random states.
+    # The fused ops against the dense oracle, on a batch of random states.
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in (2, 3, 4, 5):
-        amps = random_unitary(rng, 1 << m)[:, 0]
-        state = PureState(m, amps)
-        for g in random_circuit(rng, m, 25).gates:
-            via_kernel = apply_gate(state, g).amplitudes
-            via_matrix = gate_matrix(g, m) @ amps
-            worst = max(worst, float(np.max(np.abs(via_kernel - via_matrix))))
+        states = random_unitary(rng, 1 << m)[:, :4].T
+        u = random_circuit(rng, m, 25)
+        diff = _run(u.gates, m, states) - states @ circuit_matrix(u).T
+        worst = max(worst, float(np.max(np.abs(diff))))
     return _result("kernel-vs-dense-oracle", worst, 1e-10)
 
 
 def check_inverse_roundtrip(seed: int = 13) -> CheckResult:
+    # The gates, then their inverses in reverse order.
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in (3, 4):
-        amps = random_unitary(rng, 1 << m)[:, 0]
-        state = PureState(m, amps)
-        for g in random_circuit(rng, m, 30).gates:
-            back = apply_gate(apply_gate(state, g), g.inverse())
-            worst = max(worst, float(np.max(np.abs(back.amplitudes - amps))))
+        states = random_unitary(rng, 1 << m)[:, :4].T
+        gates = random_circuit(rng, m, 30).gates
+        back = _run(gates + tuple(g.inverse() for g in reversed(gates)), m, states)
+        worst = max(worst, float(np.max(np.abs(back - states))))
     return _result("apply-inverse-roundtrip", worst, 1e-10)
 
 
@@ -161,10 +167,8 @@ def check_cluster_signs() -> CheckResult:
     worst = 0.0
     for n in (1, 2, 3, 4, 5):
         g = GraphSpec(n, tuple((j, j + 1) for j in range(n - 1)))
-        state = PureState.zero(n)
-        for gate in cluster_unitary(g):
-            state = apply_gate(state, gate)
-        worst = max(worst, float(np.max(np.abs(state.amplitudes - g.state_vector()))))
+        state = _run(cluster_unitary(g), n, np.eye(1, 1 << n))[0]
+        worst = max(worst, float(np.max(np.abs(state - g.state_vector()))))
     return _result("cluster-state-signs", worst, 1e-12)
 
 
@@ -194,11 +198,7 @@ def _branch_stats(gates: Sequence[Gate], target: np.ndarray) -> tuple[float, flo
     qubit 0 in |0>; return the probability that qubit 0 then reads 1 and the
     fidelity of that branch's register state with `target`."""
     half = target.size
-    m = half.bit_length()
-    amps = np.eye(half, 2 * half, dtype=complex)  # one batch: row b starts in state b
-    psi = amps.reshape((half,) + (2,) * m)
-    for op in compile_circuit(gates, m):
-        op(psi)
+    amps = _run(gates, half.bit_length(), np.eye(half, 2 * half))  # row b starts in state b
     branches = amps[:, half:]
     total_p = float(np.sum(np.abs(branches) ** 2))
     total_overlap = float(np.sum(np.abs(branches @ target.conj()) ** 2))

@@ -60,8 +60,8 @@ def _plain(total, gates, clean=(0,), measured=None):
 def test_build_input_density_shape():
     dc = _plain(3, ())
     rho = build_input(dc)
-    assert rho.entries.shape == (8, 8)
-    diag = np.real(np.diag(rho.entries))
+    assert rho.shape == (8, 8)
+    diag = np.real(np.diag(rho))
     # clean qubit 0 pinned to 0: only indices with MSB 0 are populated
     assert np.allclose(diag[:4], 0.25)
     assert np.allclose(diag[4:], 0.0)
@@ -309,10 +309,14 @@ def _raise(*args, **kwargs):
     raise AssertionError("this route must not call me")
 
 
+def test_qstate_imports_nothing_of_the_dense_oracle():
+    for name in ("gate_matrix", "circuit_matrix", "check_unitary"):
+        assert not hasattr(dqc1sim.qstate, name)
+
+
 def test_auto_never_calls_the_dense_oracle(monkeypatch):
     dc = _route_circuit(5, 5, postselect=True)
-    monkeypatch.setattr(dqc1sim.engine, "evolve_density", _raise)
-    monkeypatch.setattr(dqc1sim.qstate, "gate_matrix", _raise)
+    monkeypatch.setattr(dqc1sim.engine, "gate_matrix", _raise)
     monkeypatch.setattr(dqc1sim.circuits, "gate_matrix", _raise)
     exact_distribution(dc)
     conditional_distribution(dc, dc.postselect)
@@ -327,15 +331,15 @@ def test_density_never_runs_the_pure_kernels(monkeypatch):
 
 
 def test_density_route_validates_once(monkeypatch):
-    # The input and the final matrix; not once more per gate.
+    # The final matrix only; not once more per gate.
     dc = _route_circuit(7, 5)
     calls = []
-    check = dqc1sim.qstate.DensityMatrix.__post_init__
-    monkeypatch.setattr(
-        dqc1sim.qstate.DensityMatrix, "__post_init__", lambda rho: calls.append(1) or check(rho)
-    )
+    check = dqc1sim.engine._check_density
+    monkeypatch.setattr(dqc1sim.engine, "_check_density", lambda rho: calls.append(1) or check(rho))
     exact_distribution(dc, "density")
-    assert len(dc.gates) > 2 and len(calls) == 2
+    assert len(dc.gates) > 2 and len(calls) == 1
+    conditional_distribution(dc, {dc.measured[0]: 0}, "density")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("m", range(2, 10))

@@ -13,18 +13,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
     "AcceptanceVerdict", "CheckResult", "Circuit", "CompiledReduction",
-    "ConditionalBoundsReport", "ContractError", "DEFAULT_SEED", "DensityMatrix",
+    "ConditionalBoundsReport", "ContractError", "DEFAULT_SEED",
     "Dqc1Circuit", "Dqc1Error", "Gate", "GraphSpec", "INCOMPARABLE", "MbqcPattern",
     "MultiplicativeErrorReport", "OutcomeDistribution", "ParseError",
-    "PostselectionImpossibleError", "PureState", "ResourceError", "SUITES", "ShotRecord",
+    "PostselectionImpossibleError", "ResourceError", "SUITES", "ShotRecord",
     "TraceEstimate", "UnitarityError", "ValidationError", "WiringError",
-    "all_zeros_probability", "apply_gate", "build_W", "build_W_prime", "build_input",
+    "all_zeros_probability", "build_W", "build_W_prime", "build_input",
     "build_trace_circuit", "check_conditional_bounds", "circuit_matrix",
     "classify_acceptance", "cluster_unitary", "cnot", "compile_n_plus_1", "compile_three",
     "conditional_distribution", "controlled_gates", "cu", "cz", "estimate_trace",
-    "evolve_density", "exact_distribution", "fidelity", "frobenius_block_norm",
+    "exact_distribution", "frobenius_block_norm",
     "gate_matrix", "graph_proj_x", "h", "linear_pattern_target_probs", "mcx",
-    "measure_probs", "measurement_alignment", "minimal_multiplicative_error",
+    "measurement_alignment", "minimal_multiplicative_error",
     "multiplicative_error_report", "parse_circuit", "parse_distribution", "parse_pattern",
     "parse_unitary", "pattern_from_rotations", "run_suite", "rz", "s", "sample", "sdg",
     "serialize_circuit", "serialize_distribution", "serialize_pattern",

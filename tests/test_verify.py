@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import dqc1sim.qstate
 from dqc1sim.circuits import GraphSpec
 from dqc1sim.errors import ContractError
 from dqc1sim.gadgets import (
@@ -13,6 +14,7 @@ from dqc1sim.gadgets import (
 from dqc1sim.verify import (
     SUITES,
     CheckResult,
+    check_kernel_matches_matrix,
     reduction_conditional_tv,
     reduction_event_probability,
     run_suite,
@@ -55,6 +57,18 @@ def test_check_result_shape():
 
 def _chain(n):
     return GraphSpec(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def test_kernel_check_catches_a_broken_fused_block(monkeypatch):
+    assert check_kernel_matches_matrix().passed
+    block_op = dqc1sim.qstate._block_op
+
+    def reversed_columns(block, m):
+        op = block_op(block, m)
+        return dataclasses.replace(op, mat=op.mat[:, ::-1])
+
+    monkeypatch.setattr(dqc1sim.qstate, "_block_op", reversed_columns)
+    assert not check_kernel_matches_matrix().passed
 
 
 def test_w_branch_stats_healthy():
