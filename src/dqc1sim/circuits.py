@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ def check_unitary(mat: np.ndarray) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise UnitarityError(f"matrix of shape {mat.shape} is not square")
     with np.errstate(all="ignore"):  # non-finite entries give a NaN residual
-        resid = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
+        resid = abs(mat @ mat.conj().T - np.eye(len(mat))).max()
     if not resid <= UNITARITY_TOL:
         raise UnitarityError(f"unitarity residual {resid:.3e} exceeds {UNITARITY_TOL:.1e}")
 
@@ -115,7 +115,7 @@ _TARGETS = {kind: 1 for kind in FIXED_1Q}
 _TARGETS.update({"RZ": 1, "U1Q": 1, "CZ": 2, "CNOT": 1, "MCX": 1, "GraphProjX": 1})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Gate:
     """One gate with its wiring.
 
@@ -124,6 +124,7 @@ class Gate:
     the firing bit per MCX control.  matrix holds the explicit unitary of
     U1Q and CU; theta the RZ angle.  extra_zero is the optional qubit that
     GraphProjX additionally requires to be |0> inside its projector.
+    wires lists the controls, extra_zero and the targets, in that order.
     """
 
     kind: str
@@ -134,23 +135,26 @@ class Gate:
     matrix: np.ndarray | None = None
     graph: GraphSpec | None = None
     extra_zero: int | None = None
+    wires: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
-        object.__setattr__(self, "polarities", tuple(int(b) for b in self.polarities))
-        if self.extra_zero is not None:
-            object.__setattr__(self, "extra_zero", int(self.extra_zero))
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+    def __init__(self, kind, qubits, controls=(), polarities=(), theta=None, matrix=None,
+                 graph=None, extra_zero=None):
+        # Normalised, set in one dict update and checked in one pass.
+        if kind not in GATE_KINDS:
+            raise ValidationError(f"unknown gate kind {kind!r}")
+        qubits, controls = tuple(map(int, qubits)), tuple(map(int, controls))
+        extra = () if extra_zero is None else (int(extra_zero),)
+        wires = controls + extra + qubits
+        vars(self).update(
+            kind=kind, qubits=qubits, controls=controls, polarities=tuple(map(int, polarities)),
+            theta=theta, matrix=None if matrix is None else np.asarray(matrix, dtype=complex),
+            graph=graph, extra_zero=extra[0] if extra else None, wires=wires,
+        )
         self._check_shape()
-        wires = self.wires
-        if any(w < 0 for w in wires):
-            raise WiringError(f"{self.kind}: negative qubit index in {wires}")
+        if min(wires) < 0:  # _check_shape saw at least one target
+            raise WiringError(f"{kind}: negative qubit index in {wires}")
         if len(set(wires)) != len(wires):
-            raise WiringError(f"{self.kind}: overlapping qubit references {wires}")
+            raise WiringError(f"{kind}: overlapping qubit references {wires}")
 
     def _check_shape(self):
         kind = self.kind
@@ -204,11 +208,6 @@ class Gate:
                 raise ValidationError(f"{kind} takes no graph")
             if self.extra_zero is not None:
                 raise ValidationError(f"{kind} takes no extra_zero qubit")
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        extra = (self.extra_zero,) if self.extra_zero is not None else ()
-        return self.controls + extra + self.qubits
 
     def remapped(self, mapping: Mapping[int, int] | Callable[[int], int]) -> "Gate":
         if callable(mapping):
@@ -340,8 +339,9 @@ class Circuit:
     """Ordered gate list on a fixed number of wires.
 
     Checked once, when built: the width is at least one, every gate wire
-    lies inside it and every explicit matrix is unitary.  Otherwise a
-    ValidationError carries each violation in `problems`.
+    lies inside it and every explicit matrix is unitary, each distinct
+    matrix object checked once.  Otherwise a ValidationError carries each
+    violation in `problems`.
     """
 
     total_qubits: int
@@ -353,13 +353,16 @@ class Circuit:
         if n < 1:
             _raise_problems([ValidationError(f"total_qubits must be positive, got {n}")])
         problems: list[Dqc1Error] = []
+        checked: set[int] = set()  # ids of the matrices checked so far
         for i, g in enumerate(self.gates):
-            bad = [w for w in g.wires if not 0 <= w < n]
-            if bad:
+            if max(g.wires) >= n:  # a Gate has no negative wires
+                bad = [w for w in g.wires if w >= n]
                 problems.append(
                     WiringError(f"gate {i} ({g.kind}) references out-of-range qubits {bad}")
                 )
-            if g.matrix is not None:
+            # Gates may share a matrix, as a graph projector's unfolding does.
+            if g.matrix is not None and id(g.matrix) not in checked:
+                checked.add(id(g.matrix))
                 try:
                     check_unitary(g.matrix)
                 except UnitarityError as err:
@@ -548,39 +551,23 @@ def circuit_matrix(c: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file format
 
-def _matrix_to_obj(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 def _matrix_from_obj(obj: Any, loc: str) -> np.ndarray:
     """A square matrix of [re, im] pairs, each part a finite JSON number."""
     n = len(obj) if isinstance(obj, list) else 0
     square = n > 0 and all(isinstance(row, list) and len(row) == n for row in obj)
     if not square or not all(isinstance(z, list) and len(z) == 2 for row in obj for z in row):
         raise ParseError("matrix must be a square array of [re, im] pairs", loc)
-    mat = np.empty((n, n), dtype=complex)
-    for i, j in np.ndindex(n, n):
-        at = f"{loc}[{i}][{j}]"
-        re, im = (_number_field(v, "matrix entry must be a finite number", at) for v in obj[i][j])
-        mat[i, j] = complex(re, im)
-    return mat
-
-
-def _gate_to_obj(g: Gate) -> dict:
-    obj: dict[str, Any] = {"g": g.kind, "q": list(g.qubits)}
-    if g.controls:
-        obj["c"] = list(g.controls)
-    if g.polarities:
-        obj["pol"] = list(g.polarities)
-    if g.theta is not None:
-        obj["theta"] = float(g.theta)
-    if g.matrix is not None:
-        obj["u"] = _matrix_to_obj(g.matrix)
-    if g.graph is not None:
-        obj["graph"] = {"n": g.graph.num_vertices, "edges": [list(e) for e in g.graph.edges]}
-    if g.extra_zero is not None:
-        obj["extra_zero"] = g.extra_zero
-    return obj
+    # One pass checks every part; the per-entry loop only names a bad one.
+    parts = [v for row in obj for z in row for v in z]
+    try:
+        valid = set(map(type, parts)) <= {int, float} and all(map(math.isfinite, parts))
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        for i, j in np.ndindex(n, n):
+            for v in obj[i][j]:
+                _number_field(v, "matrix entry must be a finite number", f"{loc}[{i}][{j}]")
+    return np.array(parts, dtype=float).view(complex).reshape(n, n)
 
 
 def _index_field(text: str, message: str, loc: str) -> int:
@@ -671,16 +658,65 @@ def _gates_from_obj(obj: Any, loc: str) -> tuple[Gate, ...]:
     return tuple(_gate_from_obj(g, f"{loc}[{i}]") for i, g in enumerate(obj))
 
 
+def _layout(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
+    """Rendered items as one JSON array, or object with brackets "{}",
+    opened on a line indented by `pad`: the bytes json.dumps(indent=2)
+    writes there."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _ints(values: Sequence[int], pad: str) -> str:
+    return _layout(list(map(str, values)), pad)
+
+
+def _gate_text(g: Gate, pad: str) -> str:
+    """One gate object opened on a line indented by `pad`, as
+    json.dumps(indent=2, sort_keys=True) writes it: keys in sorted order,
+    floats as float.__repr__, the kind as encode_basestring_ascii."""
+    p = pad + "  "
+    items = []
+    if g.controls:
+        items.append('"c": ' + _ints(g.controls, p))
+    if g.extra_zero is not None:
+        items.append(f'"extra_zero": {g.extra_zero}')
+    items.append('"g": ' + json.encoder.encode_basestring_ascii(g.kind))
+    if g.graph is not None:
+        edges = _layout([_ints(e, p + "    ") for e in g.graph.edges], p + "  ")
+        graph = [f'"edges": {edges}', f'"n": {g.graph.num_vertices}']
+        items.append('"graph": ' + _layout(graph, p, "{}"))
+    if g.polarities:
+        items.append('"pol": ' + _ints(g.polarities, p))
+    items.append('"q": ' + _ints(g.qubits, p))
+    if g.theta is not None:
+        items.append('"theta": ' + repr(float(g.theta)))
+    if g.matrix is not None:
+        pair = "[\n{0}  {{!r}},\n{0}  {{!r}}\n{0}]".format(p + "    ")
+        rows = zip(g.matrix.real.tolist(), g.matrix.imag.tolist())
+        rows = [_layout([pair.format(*z) for z in zip(*row)], p + "  ") for row in rows]
+        items.append('"u": ' + _layout(rows, p))
+    return _layout(items, pad, "{}")
+
+
+def _gates_text(gates: Sequence[Gate]) -> str:
+    return _layout([_gate_text(g, "    ") for g in gates], "  ")
+
+
 def serialize_circuit(dc: Dqc1Circuit) -> str:
-    obj: dict[str, Any] = {
-        "total_qubits": dc.total_qubits,
-        "clean_qubits": list(dc.clean_qubits),
-        "gates": [_gate_to_obj(g) for g in dc.gates],
-        "measure": list(dc.measured),
-    }
+    """The circuit document, byte for byte json.dumps(indent=2,
+    sort_keys=True) plus one newline."""
+    items = [
+        '"clean_qubits": ' + _ints(dc.clean_qubits, "  "),
+        '"gates": ' + _gates_text(dc.gates),
+        '"measure": ' + _ints(dc.measured, "  "),
+    ]
     if dc.postselect:
-        obj["postselect"] = {str(q): b for q, b in sorted(dc.postselect.items())}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        bits = sorted((str(q), b) for q, b in dc.postselect.items())
+        items.append('"postselect": ' + _layout([f'"{q}": {b}' for q, b in bits], "  ", "{}"))
+    items.append(f'"total_qubits": {dc.total_qubits}')
+    return _layout(items, "", "{}") + "\n"
 
 
 def _loads(text: str) -> Any:
@@ -734,5 +770,6 @@ def parse_unitary(text: str) -> Circuit:
 
 
 def serialize_unitary(c: Circuit) -> str:
-    obj = {"total_qubits": c.total_qubits, "gates": [_gate_to_obj(g) for g in c.gates]}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bare circuit document, laid out like serialize_circuit's."""
+    items = ['"gates": ' + _gates_text(c.gates), f'"total_qubits": {c.total_qubits}']
+    return _layout(items, "", "{}") + "\n"

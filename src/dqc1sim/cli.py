@@ -3,7 +3,8 @@
 Every command reads files named by flags, writes exactly one JSON document
 to stdout and keeps all diagnostics on stderr.  Exit codes: 0 success,
 1 failed verification checks, 2 parse or validation problems, 3 resource
-cap exceeded, 4 impossible postselection.  All randomness enters through
+cap exceeded, 4 impossible postselection, 5 an internal error (any other
+exception, reported in one line).  All randomness enters through
 --seed, so reruns with the same arguments are byte-identical.
 """
 
@@ -40,6 +41,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_IMPOSSIBLE = 4
+EXIT_INTERNAL = 5
 
 
 def _read_text(path: str) -> str:
@@ -220,6 +222,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Dqc1Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a bug: one line, no traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ shot index) pair always yields the same shot; the distinct draws run in
 blocks too.  Shots are grouped by draw with one bincount and one stable
 argsort of the draws narrowed to the smallest unsigned type, which numpy
 sorts by radix up to 16 bits, so a group lists its shots in index order.
+Each block of distinct draws takes one cumsum, and each group one
+searchsorted over its contiguous slice of the uniforms sorted by draw.
 Postselected shots are drawn from the mixture route's conditional
 distribution.  Every pure-state route is capped at EXACT_CAP qubits and
 sampling at SHOTS_CAP shots, checked before anything is allocated.
@@ -297,17 +299,21 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
         uniforms = uniforms[:, 1].copy()  # frees room for the blocks
         counts = np.bincount(draws, minlength=size)
         values = np.flatnonzero(counts)
-        counts = counts[values]
+        ends = iter(np.cumsum(counts[values]).tolist())
         # Narrow keys: numpy sorts 16-bit keys stably by radix, same order.
         order = np.argsort(draws.astype(np.min_scalar_type(size - 1)), kind="stable")
-        outcomes = draws  # grouped already; each shot's entry becomes its outcome
+        uniforms = uniforms[order]  # grouped by draw, in shot order within a group
+        drawn, start = np.empty_like(draws), 0
         m = dc.total_qubits
         ops = compile_circuit(dc.gates, m)
-        groups = iter(np.split(order, np.cumsum(counts[:-1])))
         for block in _blocks(scatter_bits(values, dc.mixed_qubits, m), m):
-            for weights, group in zip(_mixture_outcome_weights(dc, ops, block), groups):
-                cdf = np.cumsum(np.maximum(weights, 0.0))
-                cdf[-1] = max(cdf[-1], 1.0)
-                outcomes[group] = np.searchsorted(cdf, uniforms[group], side="right")
+            # Each row's cumsum adds in the order a lone row's does.
+            cdf = np.cumsum(np.maximum(_mixture_outcome_weights(dc, ops, block), 0.0), axis=1)
+            np.maximum(cdf[:, -1], 1.0, out=cdf[:, -1])
+            for row, end in zip(cdf, ends):
+                drawn[start:end] = np.searchsorted(row, uniforms[start:end], side="right")
+                start = end
+        outcomes = draws
+        outcomes[order] = drawn
     np.clip(outcomes, 0, (1 << k) - 1, out=outcomes)
     return ShotRecord(dc.measured, outcomes)

@@ -1,13 +1,17 @@
 """Compiled pure-state ops.
 
-A gate list compiles once into ops that run in place on a
-batch of amplitude vectors, each viewed as a rank-m tensor of 2s, so no
-2^m x 2^m matrix is ever built.  compile_circuit groups the gates into
-blocks of at most FUSE_WIRES wires, one op per block: the block's matrix
-comes from its gates' own ops run on its 2^k basis states, and a wire on
-which the block acts only while it reads 1 is peeled off as a control, so
-a block of gates under the clean qubit touches half of each state (in a
-trace circuit that holds for the gates that unfold a graph projector too).
+A gate list compiles once into ops that run in place on a batch of
+amplitude vectors, each viewed as a rank-m tensor of 2s, so no 2^m x 2^m
+matrix is ever built.  compile_circuit groups the gates into blocks of at
+most FUSE_WIRES wires, one op per block: the block's matrix comes from
+running, on its 2^k basis states, each gate's product exactly as a lone op
+of that gate would, but with no op object per gate.  Each distinct layout
+of a product (firing bits, targets, width) is worked out once per
+compile_circuit call, in a memo the call drops, so nothing outlives it.  A
+wire on which the block acts only while it reads 1 is peeled off as a
+control, so a block of gates under the clean qubit touches half of each
+state (in a trace circuit that holds for the gates that unfold a graph
+projector too).
 A lone or wider gate keeps its own op: a controlled matrix (CZ is Z on its
 second qubit under the first, CNOT and MCX are X under controls) or, for
 GraphProjX, a projector flip.  An op rounds each state of a batch as if
@@ -57,11 +61,16 @@ class _ControlledMatrix:
     targets: tuple[int, ...]
 
     def __call__(self, psi: np.ndarray) -> None:
-        view = psi[self.sel].transpose(self.fwd)
-        # One 2-D product per state, with a lone state's strides, so numpy
-        # takes the same BLAS or plain loop and rounds it as if alone.
-        stack = view.reshape(len(view), len(self.mat), -1)
-        view[...] = (self.mat @ stack).reshape(view.shape)
+        _product(psi, self.sel, self.fwd, self.mat)
+
+
+def _product(psi: np.ndarray, sel: tuple, fwd: tuple[int, ...], mat: np.ndarray) -> None:
+    """`mat` on the target axes of psi[sel].transpose(fwd), in place."""
+    view = psi[sel].transpose(fwd)
+    # One 2-D product per state, with a lone state's strides, so numpy
+    # takes the same BLAS or plain loop and rounds it as if alone.
+    stack = view.reshape(len(view), len(mat), -1)
+    view[...] = (mat @ stack).reshape(view.shape)
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,13 @@ def compile_gate(
             vec = np.kron(vec, np.array([1.0, 0.0], dtype=complex))
         # Canonical wire order: register, forced-zero qubit, target.
         return _GraphFlip(_wires_first(at(g.wires), range(m)), vec)
+    mat, fire, targets = _parts(g, at)
+    return _ControlledMatrix(*_layout(fire, targets, m, {}), mat, fire, targets)
+
+
+def _parts(g: Gate, at) -> tuple[np.ndarray, dict, tuple[int, ...]]:
+    """The matrix, firing bits and targets of a gate other than GraphProjX,
+    its qubits mapped by `at`."""
     controls, targets = at(g.controls), at(g.qubits)
     bits = g.polarities if g.kind == "MCX" else (1,) * len(controls)
     if g.kind in FIXED_1Q:
@@ -124,15 +140,18 @@ def compile_gate(
         mat = FIXED_1Q["X"]
     else:
         raise ContractError(f"no kernel for gate kind {g.kind!r}")
-    return _controlled(mat, dict(zip(controls, bits)), targets, m)
+    return mat, dict(zip(controls, bits)), targets
 
 
-def _controlled(mat: np.ndarray, fire: dict, targets: Sequence[int], m: int) -> _ControlledMatrix:
-    """`mat` on `targets` where every qubit in `fire` reads its bit."""
-    sel = (slice(None),) + tuple(fire.get(q, slice(None)) for q in range(m))
-    free = [q for q in range(m) if q not in fire]
-    fwd = (0,) + tuple(1 + i for i in _wires_first(targets, free))
-    return _ControlledMatrix(sel, fwd, mat, fire, tuple(targets))
+def _layout(fire: dict, targets: Sequence[int], m: int, layouts: dict) -> tuple:
+    """The (sel, fwd) of a _ControlledMatrix on `targets` where every qubit
+    in `fire` reads its bit, from the memo `layouts` or added to it."""
+    key = (tuple(fire.items()), tuple(targets), m)
+    if key not in layouts:
+        sel = (slice(None),) + tuple(fire.get(q, slice(None)) for q in range(m))
+        free = [q for q in range(m) if q not in fire]
+        layouts[key] = sel, (0,) + tuple(1 + i for i in _wires_first(targets, free))
+    return layouts[key]
 
 
 def fuse_blocks(gates: Sequence[Gate]) -> list[list[Gate]]:
@@ -140,51 +159,64 @@ def fuse_blocks(gates: Sequence[Gate]) -> list[list[Gate]]:
     Each gate joins the earliest block at or after the last one touching
     its wires that stays within FUSE_WIRES, or opens a new block, so every
     wire keeps its gate order; a wider gate is a block of its own."""
-    blocks: list[tuple[set[int], list[Gate]]] = []
+    spans: list[set[int]] = []
+    blocks: list[list[Gate]] = []
     last: dict[int, int] = {}  # wire -> last block touching it
     for g in gates:
-        wires = set(g.wires)
-        start = max((last[w] for w in wires if w in last), default=0)
-        fits = (b for b in range(start, len(blocks)) if len(blocks[b][0] | wires) <= FUSE_WIRES)
-        b = next(fits, len(blocks))
+        wires = g.wires
+        b = max([last[w] for w in wires if w in last], default=0)
+        while b < len(blocks) and len(spans[b].union(wires)) > FUSE_WIRES:
+            b += 1
         if b == len(blocks):
-            blocks.append((set(), []))
-        blocks[b][0].update(wires)
-        blocks[b][1].append(g)
-        last.update(dict.fromkeys(wires, b))
-    return [block for _, block in blocks]
+            spans.append(set())
+            blocks.append([])
+        spans[b].update(wires)
+        blocks[b].append(g)
+        for w in wires:
+            last[w] = b
+    return blocks
 
 
-def _block_op(block: Sequence[Gate], m: int) -> _ControlledMatrix:
-    """One op for a block of gates on k <= FUSE_WIRES wires.  The gates' own
-    ops, compiled onto the k local wires, run on the block's 2^k basis
-    states, whose images are the columns of its matrix.  Each wire on which
-    the matrix is exactly the identity while the wire reads 0, and which it
-    never flips, becomes a control."""
+def _block_op(block: Sequence[Gate], m: int, layouts: dict) -> _ControlledMatrix:
+    """One op for a block of gates on k <= FUSE_WIRES wires.  Each gate's
+    product, on the k local wires, runs on the block's 2^k basis states,
+    whose images are the columns of its matrix.  Each wire on which the
+    matrix is exactly the identity while the wire reads 0, and which it
+    never flips, becomes a control.  `layouts` is compile_circuit's memo."""
     wires = sorted({w for g in block for w in g.wires})
     k = len(wires)
     rows = np.eye(1 << k, dtype=complex)  # row j: basis state j, then its image
     psi, local = rows.reshape((-1,) + (2,) * k), dict(zip(wires, range(k)))
+    at = lambda qs: tuple(local[q] for q in qs)
     for g in block:
-        compile_gate(g, k, local)(psi)
+        if g.kind == "GraphProjX":
+            compile_gate(g, k, local)(psi)
+        else:
+            mat, fire, targets = _parts(g, at)
+            _product(psi, *_layout(fire, targets, k, layouts), mat)
     mat, targets, fire = rows.T, wires, {}
+    off = mat != np.eye(len(mat))  # where the matrix leaves the identity
     for w in wires:
         if len(targets) > 1:
             i, half = targets.index(w), 1 << (len(targets) - 1)
             shape = (1 << i, 2, half >> i) * 2
-            split, eye = mat.reshape(shape), np.eye(2 * half).reshape(shape)
-            fixed = np.array_equal(split[:, 0], eye[:, 0])  # rows where w reads 0
-            if fixed and np.array_equal(split[..., 0, :], eye[..., 0, :]):  # and columns
-                mat = split[:, 1, :, :, 1, :].reshape(half, half)
+            split = off.reshape(shape)
+            if not (split[:, 0].any() or split[..., 0, :].any()):  # rows, columns where w reads 0
+                mat = mat.reshape(shape)[:, 1, :, :, 1, :].reshape(half, half)
+                off = split[:, 1, :, :, 1, :].reshape(half, half)
                 targets, fire[w] = [q for q in targets if q != w], 1
-    return _controlled(np.ascontiguousarray(mat), fire, targets, m)
+    mat, targets = np.ascontiguousarray(mat), tuple(targets)
+    return _ControlledMatrix(*_layout(fire, targets, m, layouts), mat, fire, targets)
 
 
 def compile_circuit(gates: Sequence[Gate], m: int) -> list[_ControlledMatrix | _GraphFlip]:
     """Ready-to-run ops for a gate list, one per block of fuse_blocks; a
-    one-gate block keeps compile_gate's op.  The gates are not checked here."""
+    one-gate block keeps compile_gate's op.  The gates are not checked
+    here.  Each distinct (fire, targets, width) layout is worked out once
+    per call, in a memo dropped when the call returns."""
+    layouts: dict = {}
     blocks = fuse_blocks(gates)
-    return [compile_gate(b[0], m) if len(b) == 1 else _block_op(b, m) for b in blocks]
+    return [compile_gate(b[0], m) if len(b) == 1 else _block_op(b, m, layouts) for b in blocks]
 
 
 def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray:

@@ -298,6 +298,21 @@ def test_validate_flags_non_unitary_embedded_matrix():
     assert message.startswith("gate 0 (U1Q): unitarity residual")
 
 
+def test_shared_matrix_is_checked_once(monkeypatch):
+    # One matrix object under three gates is checked once, at the first of
+    # them; an equal copy is an object of its own.
+    import dqc1sim.circuits
+
+    bad = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+    gates = (h(1), u1q(bad, 0), cu(bad, (1,), (0,)), u1q(bad.copy(), 1), u1q(bad, 1))
+    calls = []
+    check = dqc1sim.circuits.check_unitary
+    monkeypatch.setattr(dqc1sim.circuits, "check_unitary", lambda m: calls.append(1) or check(m))
+    problems = _problems(lambda: Circuit(2, gates))
+    assert len(calls) == 2
+    assert [message.split(":")[0] for _, message in problems] == ["gate 1 (U1Q)", "gate 3 (U1Q)"]
+
+
 def test_clean_and_measured_must_be_nonempty():
     c = Circuit(1, ())
     assert _problems(lambda: Dqc1Circuit(c, (), (0,))) == [(ContractError, "clean list is empty")]

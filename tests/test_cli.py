@@ -483,6 +483,17 @@ def test_memory_error_exits_3(capsys, monkeypatch, coin_file):
     assert err == "error: out of memory\n"
 
 
+def test_unexpected_exception_exits_5_in_one_line(capsys, monkeypatch, coin_file):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel state lost\nsecond line")
+
+    monkeypatch.setattr("dqc1sim.cli.sample", broken)
+    code, out, err = _run(capsys, ["run", "--circuit", coin_file])
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal: RuntimeError: kernel state lost second line\n"
+
+
 # ---------------------------------------------------------------------------
 # malformed numbers and indices
 

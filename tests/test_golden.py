@@ -150,6 +150,30 @@ def test_golden_stdout(name, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# The files `compile` writes, and serialize_unitary's text of the graph
+# unitary: the circuit writer's bytes, pinned like stdout.
+FILE_CASES = {
+    "compile-n1": ("n1.json", "efb573373a3ed2d9f64422382d3a87cbde8f30700abfa1a76a9c49f3a088910a"),
+    "compile-three": ("three.json", "dfc834880138b38da6ff699ee100073982f2b1f65af7860d8c71efdc82798cbd"),
+}
+GRAPH_UNITARY_DIGEST = "cbc2da0412339eeaeedae2ea98cb64820262c3dc3fc7946b9bdb28b02d4d6f4a"
+
+
+@pytest.mark.parametrize("name", sorted(FILE_CASES))
+def test_golden_compile_file(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES[name][0]()) == 0
+    path, digest = FILE_CASES[name]
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def test_golden_serialize_unitary(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open(_graph_unitary(), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GRAPH_UNITARY_DIGEST
+
+
 def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
     # One parser serves every call of a process: each case runs twice, in
     # forward then reverse order, with a rejected flag and an unreadable
@@ -209,7 +233,8 @@ def test_golden_exact_circuits_match_the_oracle(tmp_path, monkeypatch):
 
 
 def _explicit(gates) -> int:
-    return sum(g.matrix is not None for g in gates)
+    """Distinct explicit matrix objects: a circuit checks each one once."""
+    return len({id(g.matrix) for g in gates if g.matrix is not None})
 
 
 @pytest.mark.parametrize("command", ["exact", "run", "trace"])

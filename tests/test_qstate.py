@@ -352,8 +352,13 @@ def test_compile_circuit_builds_no_gate(monkeypatch):
         circuits += [compile_three(pattern).circuit, compile_n_plus_1(pattern).circuit]
     gate_lists = [dc.gates for dc in circuits] + [dqc1sim.engine._cut(dc) for dc in circuits]
     built = []
-    check = Gate.__post_init__
-    monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g.kind) or check(g))
+    init = Gate.__init__
+
+    def counted(g, kind, *args, **kwargs):
+        built.append(kind)
+        init(g, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counted)
     for dc, gates in zip(circuits * 2, gate_lists):
         ops = compile_circuit(gates, dc.total_qubits)
         assert len(ops) < len(gates)
@@ -395,6 +400,14 @@ def _compile_remapped(g, m, wire=None):
     return compile_gate(g if wire is None else g.remapped(wire), m)
 
 
+_PARTS = qstate._parts
+
+
+def _parts_remapped(g, at):
+    """_parts the same way: remap the gate onto its wires first."""
+    return _PARTS(g.remapped(lambda q: at((q,))[0]), tuple)
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 7),
@@ -409,9 +422,11 @@ def test_block_op_matches_remapped_gates(seed, m, k, kinds):
     if k == 1:
         kinds = [kind for kind in kinds if kind in _ONE_WIRE] or ["H", "T"]
     block = [_block_gate(rng, kind, wires) for kind in kinds]
-    op = qstate._block_op(block, m)
-    with mock.patch.object(qstate, "compile_gate", _compile_remapped):
-        ref = qstate._block_op(block, m)
+    op = qstate._block_op(block, m, {})
+    with mock.patch.object(qstate, "compile_gate", _compile_remapped), mock.patch.object(
+        qstate, "_parts", _parts_remapped
+    ):
+        ref = qstate._block_op(block, m, {})
     assert op.sel == ref.sel and op.fwd == ref.fwd
     assert op.mat.dtype == ref.mat.dtype and op.mat.shape == ref.mat.shape
     assert op.mat.tobytes() == ref.mat.tobytes()

@@ -63,8 +63,8 @@ def test_kernel_check_catches_a_broken_fused_block(monkeypatch):
     assert check_kernel_matches_matrix().passed
     block_op = dqc1sim.qstate._block_op
 
-    def reversed_columns(block, m):
-        op = block_op(block, m)
+    def reversed_columns(block, m, layouts):
+        op = block_op(block, m, layouts)
         return dataclasses.replace(op, mat=op.mat[:, ::-1])
 
     monkeypatch.setattr(dqc1sim.qstate, "_block_op", reversed_columns)
