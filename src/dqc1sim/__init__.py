@@ -49,6 +49,7 @@ from .engine import (
     all_zeros_probability,
     build_input,
     conditional_distribution,
+    density_distribution,
     exact_distribution,
     sample,
 )

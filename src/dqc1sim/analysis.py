@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .bits import bitstring
-from .circuits import Circuit, Dqc1Circuit, _loads, _number_field, circuit_matrix
+from .circuits import Circuit, Dqc1Circuit, _finite_numbers, _loads, _number_field, circuit_matrix
 from .config import DEFAULT_SEED, EXACT_CAP, REPORT_CAP, ZERO_PROB_TOL
 from .distributions import OutcomeDistribution
 from .engine import conditional_distribution, sample
@@ -339,7 +339,7 @@ def classify_acceptance(
         raise ContractError(f"output qubit {output} is postselected")
     if output not in dc.measured:
         raise ContractError(f"output qubit {output} is not measured")
-    cond = conditional_distribution(dc, ps)
+    cond, _ = conditional_distribution(dc, ps)
     p1 = float(cond.marginal((output,)).pmf[1])
     if p1 >= 0.5 + delta:
         verdict = "in-language"
@@ -377,13 +377,7 @@ def parse_distribution(text: str) -> OutcomeDistribution:
     # Every value checked in one pass; the per-entry check only names the
     # first bad one.
     probs = obj["probs"]
-    try:
-        valid = set(map(type, probs.values())) <= {int, float} and all(
-            map(math.isfinite, probs.values())
-        )
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
+    if not _finite_numbers(probs.values()):
         for key, val in probs.items():
             _number_field(val, f"probability of {key!r} must be a finite number", "$.probs")
     try:

@@ -559,11 +559,7 @@ def _matrix_from_obj(obj: Any, loc: str) -> np.ndarray:
         raise ParseError("matrix must be a square array of [re, im] pairs", loc)
     # One pass checks every part; the per-entry loop only names a bad one.
     parts = [v for row in obj for z in row for v in z]
-    try:
-        valid = set(map(type, parts)) <= {int, float} and all(map(math.isfinite, parts))
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
+    if not _finite_numbers(parts):
         for i, j in np.ndindex(n, n):
             for v in obj[i][j]:
                 _number_field(v, "matrix entry must be a finite number", f"{loc}[{i}][{j}]")
@@ -582,6 +578,14 @@ def _index_field(text: str, message: str, loc: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise ParseError(message, loc)
+
+
+def _finite_numbers(values) -> bool:
+    """Whether every value is a finite JSON number, checked in one pass."""
+    try:
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _number_field(val: Any, message: str, loc: str) -> float:

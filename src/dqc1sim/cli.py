@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .circuits import _index_field, parse_circuit, parse_unitary, serialize_circuit
 from .config import DEFAULT_SEED
-from .engine import _conditional, exact_distribution, sample
+from .engine import conditional_distribution, exact_distribution, sample
 from .errors import (
     ContractError,
     Dqc1Error,
@@ -85,16 +85,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     dc = parse_circuit(_read_text(args.circuit))
-    assignments = dict(dc.postselect) if dc.postselect else None
-    if args.postselect is not None:
-        assignments = _parse_postselect(args.postselect)
+    ps = dc.postselect if args.postselect is None else _parse_postselect(args.postselect)
     doc = {}
-    if assignments is None:
+    if not ps:
         dist = exact_distribution(dc)
     else:
-        dist, event = _conditional(dc, assignments)
+        dist, event = conditional_distribution(dc, ps)
         doc = {
-            "postselect": {str(q): b for q, b in sorted(assignments.items())},
+            "postselect": {str(q): b for q, b in sorted(ps.items())},
             "postselection_probability": event,
         }
     doc.update(measured=list(dist.measured_qubits), probs=dist.probs)

@@ -108,17 +108,18 @@ class OutcomeDistribution:
         pmf = rows.reshape(1 << len(summed), -1).sum(axis=0, initial=0.0)
         return OutcomeDistribution(subset, pmf)
 
-    def condition(
-        self, assignments: Mapping[int, int], keep_assigned: bool = False
-    ) -> tuple["OutcomeDistribution", float]:
+    def condition(self, assignments: Mapping[int, int]) -> tuple["OutcomeDistribution", float]:
         """Condition on the given qubit -> bit assignments.
 
-        Returns the renormalized distribution and the probability of the
-        conditioning event.  The assigned qubits are dropped from the result
-        unless keep_assigned is set, in which case outcomes keep their full
-        width and non-matching outcomes carry probability zero.
+        Returns the renormalized distribution over the unassigned qubits,
+        in measured order, and the probability of the conditioning event.
+        Assigning every qubit raises ContractError.
         """
-        return selector(self.measured_qubits, assignments, keep_assigned)(self.pmf)
+        kept, select = selector(self.measured_qubits, assignments)
+        if not kept:
+            raise ContractError("postselection leaves no measured qubits")
+        pmf, event = select(self.pmf)
+        return OutcomeDistribution(kept, pmf), event
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         if set(self.measured_qubits) != set(other.measured_qubits):
@@ -130,12 +131,13 @@ class OutcomeDistribution:
 
 
 def selector(
-    measured: Sequence[int], assignments: Mapping[int, int], keep_assigned: bool = False
-) -> Callable[[np.ndarray], tuple[OutcomeDistribution, float]]:
+    measured: Sequence[int], assignments: Mapping[int, int]
+) -> tuple[tuple[int, ...], Callable[[np.ndarray], tuple[np.ndarray, float]]]:
     """Check a qubit -> bit assignment against the measured qubits, then
-    return the function that conditions outcome weights on it, as
-    OutcomeDistribution.condition does.  The weights need not sum to one:
-    only the entries that match the assignment are read."""
+    return the unassigned ones, in measured order, and the function that
+    conditions outcome weights on the assignment into their pmf and the
+    event probability; with every qubit assigned the pmf is [1.0].  The
+    weights need not sum to one: only the entries that match are read."""
     assignments = {int(q): int(b) for q, b in assignments.items()}
     if not assignments:
         raise ContractError("empty postselection assignment")
@@ -145,13 +147,9 @@ def selector(
         if b not in (0, 1):
             raise ContractError(f"postselection bit for qubit {q} must be 0 or 1")
     k = len(measured)
-    fixed = {measured.index(q): b for q, b in assignments.items()}
-    kept_positions = [i for i in range(k) if i not in fixed]
-    if not keep_assigned and not kept_positions:
-        raise ContractError("postselection leaves no measured qubits")
-    index = tuple(fixed.get(i, slice(None)) for i in range(k))
+    index = tuple(assignments.get(q, slice(None)) for q in measured)
 
-    def select(weights: np.ndarray) -> tuple[OutcomeDistribution, float]:
+    def select(weights: np.ndarray) -> tuple[np.ndarray, float]:
         selected = weights.reshape((2,) * k)[index]
         # Summed one entry after another in index order; np.sum adds
         # pairwise, which rounds differently.
@@ -160,13 +158,6 @@ def selector(
             raise PostselectionImpossibleError(
                 f"postselection {assignments} has probability {event}"
             )
-        if keep_assigned:
-            qubits = tuple(measured)
-            pmf = np.zeros((2,) * k)
-            pmf[index] = selected / event
-        else:
-            qubits = tuple(measured[i] for i in kept_positions)
-            pmf = selected / event
-        return OutcomeDistribution(qubits, pmf.reshape(-1)), event
+        return selected.reshape(-1) / event, event
 
-    return select
+    return tuple(q for q in measured if q not in assignments), select

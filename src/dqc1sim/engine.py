@@ -1,16 +1,17 @@
 """Execution engine for one-clean-qubit circuits.
 
 Inputs are always |0><0| on the clean qubits tensored with the maximally
-mixed state on the rest.  Exact distributions come from two independent
-routes.  The default is the uniform average over mixed-register basis
-states, each run pure through the circuit compiled once into ops, one per
-fused block of at most qstate.FUSE_WIRES wires.  The basis states run in
-blocks of BLOCK_AMPLITUDES amplitudes: one pass of the ops runs every
-basis state of a block.  A first op that is a controlled matrix is not
-run but written: a start it fires on takes the matrix column of its
-target bits, the bytes the op gives a basis state.  Full density-matrix
-conjugation is the dense oracle (capped), kept only to check the first
-route: it runs every gate and conditions its joint.
+mixed state on the rest.  Each job has one entry point: exact_distribution
+and conditional_distribution take the mixture route, density_distribution
+is the dense oracle, and sample draws shots.  The mixture route averages
+pure runs over the mixed-register basis states, each run through the
+circuit compiled once into ops, one per fused block of at most
+qstate.FUSE_WIRES wires, a block of BLOCK_AMPLITUDES amplitudes per pass
+of the ops.  A first op that is a controlled matrix is not run but
+written: a start it fires on takes the matrix column of its target bits,
+the bytes the op gives a basis state.  The oracle, full density-matrix
+conjugation (capped), is kept only to check the mixture route and never
+runs its ops.
 
 The mixture route first cuts the circuit: a gate runs only once one of its
 wires has met a wire already reached from a clean wire, since every earlier
@@ -33,9 +34,10 @@ argsort of the draws narrowed to the smallest unsigned type, which numpy
 sorts by radix up to 16 bits, so a group lists its shots in index order.
 Each block of distinct draws takes one cumsum, and each group one
 searchsorted over its contiguous slice of the uniforms sorted by draw.
-Postselected shots are drawn from the mixture route's conditional
-distribution.  Every pure-state route is capped at EXACT_CAP qubits and
-sampling at SHOTS_CAP shots, checked before anything is allocated.
+Postselected shots are drawn from the conditional distribution of the
+free measured qubits, and the forced bits are set on every draw.  Every
+pure-state route is capped at EXACT_CAP qubits and sampling at SHOTS_CAP
+shots, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ def _apply_gate_kernel(op, psi: np.ndarray) -> None:
     """Run one compiled op in place.  Kept as a named step so that a tracer
     can count and time the engine's kernel calls."""
     op(psi)
-
-
-def _blocks(starts: np.ndarray, m: int) -> Iterator[np.ndarray]:
-    rows = max(1, BLOCK_AMPLITUDES >> m)
-    return (starts[i : i + rows] for i in range(0, len(starts), rows))
 
 
 def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> np.ndarray:
@@ -185,67 +182,74 @@ def _passing(
     return _reading(values, {q: b for q, b in ps.items() if q not in quantum}, m)
 
 
+def _weight_rows(
+    dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Outcome weights of pure runs of `gates` compiled once, one row per
+    start, yielded a block of BLOCK_AMPLITUDES amplitudes at a time."""
+    m = dc.total_qubits
+    ops = compile_circuit(gates, m)
+    rows = max(1, BLOCK_AMPLITUDES >> m)
+    for i in range(0, len(starts), rows):
+        yield _mixture_outcome_weights(dc, ops, starts[i : i + rows])
+
+
 def _summed_weights(dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray) -> np.ndarray:
     """Outcome weights of pure runs of `gates` from `starts`, each weighted
     1/2^(mixed qubits).  Rows are added one at a time in start order, as by
     lone runs, so a start left out that adds zeros changes no byte."""
-    m = dc.total_qubits
-    ops = compile_circuit(gates, m)
     weights = np.zeros(1 << len(dc.measured))
-    for block in _blocks(starts, m):
-        for row in _mixture_outcome_weights(dc, ops, block):
+    for block in _weight_rows(dc, gates, starts):
+        for row in block:
             weights += row
     weights *= 1.0 / (1 << len(dc.mixed_qubits))
     return weights
 
 
-def exact_distribution(dc: Dqc1Circuit, method: str = "mixture") -> OutcomeDistribution:
-    """Exact joint distribution over the measured qubits.
+def _passing_weights(dc: Dqc1Circuit, ps: Mapping[int, int]) -> np.ndarray:
+    """The summed weights of the cut gates run from the starts that can pass
+    `ps`; each entry that matches `ps` has the bytes of a run of them all."""
+    gates, starts = _cut(dc), _starts(dc)
+    return _summed_weights(dc, gates, starts[_passing(starts, gates, dc.total_qubits, ps)])
 
-    method "mixture", the default, averages pure runs of the cut circuit
-    over the mixed-register basis, in blocks of basis states, at
-    O(gates * 4^m) work.  "density" evolves the full density matrix
-    through the dense oracle at O(gates * 8^m) and serves only as the
-    independent check.  Both routes agree within 1e-10 and the test suite
-    holds them to that.
+
+def exact_distribution(dc: Dqc1Circuit) -> OutcomeDistribution:
+    """Exact joint distribution over the measured qubits: the average of
+    pure runs of the cut circuit over the mixed-register basis, in blocks
+    of basis states, at O(gates * 4^m) work.  It agrees with
+    density_distribution within 1e-10, and the test suite holds it to that.
     """
-    m = dc.total_qubits
-    if method == "density":
-        rho = build_input(dc)
-        for g in dc.gates:
-            full = gate_matrix(g, m)
-            rho = full @ rho @ full.conj().T
-        # Checked once for the whole run rather than after every gate.
-        _check_density(rho)
-        weights = _outcome_weights(rho.diagonal().real, m, dc.measured)[0]
-    elif method == "mixture":
-        weights = _summed_weights(dc, _cut(dc), _starts(dc))
-    else:
-        raise ContractError(f"unknown method {method!r}")
+    weights = _summed_weights(dc, _cut(dc), _starts(dc))
     return OutcomeDistribution(dc.measured, np.maximum(weights, 0.0))
 
 
-def _conditional(
-    dc: Dqc1Circuit, ps: Mapping[int, int], keep_assigned: bool = False
-) -> tuple[OutcomeDistribution, float]:
-    """The mixture route conditioned on `ps`, and the event probability:
-    the cut gates run from the passing starts only.  Its bytes are those of
-    the cut gates run over every start, then conditioned."""
-    select = selector(dc.measured, ps, keep_assigned)
-    gates, starts = _cut(dc), _starts(dc)
-    starts = starts[_passing(starts, gates, dc.total_qubits, ps)]
-    return select(_summed_weights(dc, gates, starts))
+def density_distribution(dc: Dqc1Circuit) -> OutcomeDistribution:
+    """The dense oracle: the exact joint distribution from the full density
+    matrix, evolved gate by gate at O(gates * 8^m) and capped by the dense
+    size.  It serves only as the independent check of the other routes."""
+    m = dc.total_qubits
+    rho = build_input(dc)
+    for g in dc.gates:
+        full = gate_matrix(g, m)
+        rho = full @ rho @ full.conj().T
+    # Checked once for the whole run rather than after every gate.
+    _check_density(rho)
+    weights = _outcome_weights(rho.diagonal().real, m, dc.measured)[0]
+    return OutcomeDistribution(dc.measured, np.maximum(weights, 0.0))
 
 
 def conditional_distribution(
-    dc: Dqc1Circuit, ps: Mapping[int, int], method: str = "mixture"
-) -> OutcomeDistribution:
-    """Exact distribution over the non-postselected measured qubits, given
-    that every postselected qubit read its required bit.  "mixture" runs
-    only the starts that can pass; "density" conditions the oracle's joint."""
-    if method == "mixture":
-        return _conditional(dc, ps)[0]
-    return exact_distribution(dc, method).condition(ps)[0]
+    dc: Dqc1Circuit, ps: Mapping[int, int]
+) -> tuple[OutcomeDistribution, float]:
+    """The exact distribution of the measured qubits that `ps` leaves free,
+    given `ps`, and the event probability, as OutcomeDistribution.condition
+    returns them.  Postselecting every measured qubit raises ContractError
+    before any run."""
+    kept, select = selector(dc.measured, ps)
+    if not kept:
+        raise ContractError("postselection leaves no measured qubits")
+    pmf, event = select(_passing_weights(dc, ps))
+    return OutcomeDistribution(kept, pmf), event
 
 
 def all_zeros_probability(dc: Dqc1Circuit) -> float:
@@ -273,10 +277,10 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
     runs it through the compiled pure-state ops of every gate and draws
     the outcome; identical basis draws share one simulation, and the
     distinct draws run in blocks.  With postselection baked into the
-    circuit, shots are drawn from the mixture route's exact conditional
-    distribution and keep their full-length bitstrings (forced bits always
-    match).  More than EXACT_CAP qubits or SHOTS_CAP shots raise
-    ResourceError first.
+    circuit, shots are drawn from the exact conditional distribution of the
+    free measured qubits and keep their full-length bitstrings, the forced
+    bits set on every shot.  More than EXACT_CAP qubits or SHOTS_CAP shots
+    raise ResourceError first.
     """
     if shots < 1:
         raise ContractError(f"need a positive shot count, got {shots}")
@@ -288,10 +292,15 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
     k = len(dc.measured)
     uniforms = _shot_uniforms(seed, shots)
     if dc.postselect:
-        conditioned, _ = _conditional(dc, dc.postselect, keep_assigned=True)
-        cdf = np.cumsum(conditioned.pmf)
+        # Every measured qubit may be postselected: then pmf is [1.0].
+        _, select = selector(dc.measured, dc.postselect)
+        pmf, _ = select(_passing_weights(dc, dc.postselect))
+        cdf = np.cumsum(pmf)
         cdf[-1] = max(cdf[-1], 1.0)
-        outcomes = np.searchsorted(cdf, uniforms[:, 1], side="right")
+        # The outcomes that match, in the order of the pmf's entries.
+        fixed = {dc.measured.index(q): b for q, b in dc.postselect.items()}
+        matching = np.flatnonzero(_reading(np.arange(1 << k), fixed, k))
+        outcomes = matching[np.searchsorted(cdf, uniforms[:, 1], side="right")]
     else:
         size = 1 << len(dc.mixed_qubits)
         draws = (uniforms[:, 0] * size).astype(np.int64)
@@ -304,16 +313,14 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
         order = np.argsort(draws.astype(np.min_scalar_type(size - 1)), kind="stable")
         uniforms = uniforms[order]  # grouped by draw, in shot order within a group
         drawn, start = np.empty_like(draws), 0
-        m = dc.total_qubits
-        ops = compile_circuit(dc.gates, m)
-        for block in _blocks(scatter_bits(values, dc.mixed_qubits, m), m):
+        starts = scatter_bits(values, dc.mixed_qubits, dc.total_qubits)
+        for block in _weight_rows(dc, dc.gates, starts):
             # Each row's cumsum adds in the order a lone row's does.
-            cdf = np.cumsum(np.maximum(_mixture_outcome_weights(dc, ops, block), 0.0), axis=1)
+            cdf = np.cumsum(np.maximum(block, 0.0), axis=1)
             np.maximum(cdf[:, -1], 1.0, out=cdf[:, -1])
             for row, end in zip(cdf, ends):
                 drawn[start:end] = np.searchsorted(row, uniforms[start:end], side="right")
                 start = end
         outcomes = draws
         outcomes[order] = drawn
-    np.clip(outcomes, 0, (1 << k) - 1, out=outcomes)
     return ShotRecord(dc.measured, outcomes)

@@ -30,6 +30,7 @@ from .circuits import (
     _index_field,
     _loads,
     _number_field,
+    _small_matrix,
     cu,
     cz,
     h,
@@ -104,8 +105,6 @@ def controlled_gates(g: Gate, control: int) -> list[Gate]:
         raise ContractError("control wire overlaps the gate")
     kind = g.kind
     if kind in ("H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg", "RZ", "U1Q", "CZ"):
-        from .circuits import _small_matrix
-
         small, wires = _small_matrix(g)
         return [cu(small, wires, (control,))]
     if kind == "CNOT":

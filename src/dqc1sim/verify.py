@@ -31,7 +31,13 @@ from .circuits import (
     graph_proj_x,
 )
 from .distributions import OutcomeDistribution
-from .engine import _conditional, all_zeros_probability, exact_distribution, sample
+from .engine import (
+    all_zeros_probability,
+    conditional_distribution,
+    density_distribution,
+    exact_distribution,
+    sample,
+)
 from .errors import ContractError
 from .gadgets import (
     CompiledReduction,
@@ -122,9 +128,7 @@ def check_density_mixture_agreement(seed: int = 17, trials: int = 12) -> CheckRe
     for _ in range(trials):
         m = int(rng.integers(2, 7))
         dc = random_dqc1(rng, m, int(rng.integers(3, 12)))
-        tv = exact_distribution(dc, "density").total_variation(
-            exact_distribution(dc, "mixture")
-        )
+        tv = density_distribution(dc).total_variation(exact_distribution(dc))
         worst = max(worst, tv)
     return _result("density-vs-mixture-distribution", worst, 1e-10)
 
@@ -258,14 +262,14 @@ def check_trace_contract(seed: int = 29, trials: int = 10) -> CheckResult:
 def reduction_conditional_tv(red: CompiledReduction) -> float:
     """Total variation between the compiled circuit's postselected output
     distribution and the pattern's directly computed branch distribution."""
-    conditioned, _ = _conditional(red.circuit, red.postselect)
+    conditioned, _ = conditional_distribution(red.circuit, red.postselect)
     out = conditioned.marginal(red.output_qubits)
     target = OutcomeDistribution(out.measured_qubits, linear_pattern_target_probs(red.target))
     return out.total_variation(target)
 
 
 def reduction_event_probability(red: CompiledReduction) -> float:
-    return _conditional(red.circuit, red.postselect)[1]
+    return conditional_distribution(red.circuit, red.postselect)[1]
 
 
 def _random_angle_lists(rng: np.random.Generator, count: int, max_len: int):
@@ -300,7 +304,7 @@ def check_compiler_agreement(seed: int = 41, trials: int = 8) -> CheckResult:
         pattern = pattern_from_rotations(angles)
         outs = []
         for red in (compile_n_plus_1(pattern), compile_three(pattern)):
-            conditioned, _ = _conditional(red.circuit, red.postselect)
+            conditioned, _ = conditional_distribution(red.circuit, red.postselect)
             outs.append(conditioned.marginal(red.output_qubits))
         # The compilers place the output on different wires, so compare by
         # outcome rather than by qubit label.

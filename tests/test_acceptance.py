@@ -16,7 +16,7 @@ from dqc1sim.analysis import (
 )
 from dqc1sim.circuits import Circuit, Dqc1Circuit, GraphSpec, circuit_matrix
 from dqc1sim.distributions import OutcomeDistribution
-from dqc1sim.engine import all_zeros_probability, exact_distribution, sample
+from dqc1sim.engine import all_zeros_probability, density_distribution, exact_distribution, sample
 from dqc1sim.gadgets import (
     build_trace_circuit,
     build_W,
@@ -135,8 +135,8 @@ def test_criterion_5_route_agreement_and_sampling(report):
         u = random_circuit(rng, m, int(rng.integers(2, 10)))
         k = int(rng.integers(1, m + 1))
         dc = Dqc1Circuit(u, tuple(range(k)), tuple(range(m)))
-        d_density = exact_distribution(dc, "density")
-        d_mixture = exact_distribution(dc, "mixture")
+        d_density = density_distribution(dc)
+        d_mixture = exact_distribution(dc)
         worst_tv = max(worst_tv, d_density.total_variation(d_mixture))
 
     shots = 10**5

@@ -144,6 +144,21 @@ def test_exact_impossible_postselection_exits_4(capsys, tmp_path):
     assert "error" in err
 
 
+def test_full_postselection_runs_but_has_no_exact_distribution(capsys, tmp_path):
+    # Every measured qubit postselected: each shot reads the forced bits,
+    # and exact has no qubit left to report.
+    from dqc1sim.circuits import cnot
+
+    dc = Dqc1Circuit(Circuit(2, (h(0), cnot(0, 1))), (0, 1), (0, 1), postselect={0: 1, 1: 1})
+    path = tmp_path / "forced.json"
+    path.write_text(serialize_circuit(dc))
+    code, out, _ = _run(capsys, ["run", "--circuit", str(path), "--shots", "8"])
+    assert code == 0
+    assert json.loads(out)["counts"] == {"11": 8}
+    code, out, err = _run(capsys, ["exact", "--circuit", str(path)])
+    assert (code, out, err) == (2, "", "error: postselection leaves no measured qubits\n")
+
+
 def test_exact_resource_cap_exits_3(capsys, tmp_path):
     dc = Dqc1Circuit(Circuit(18, ()), (0,), (0,))
     path = tmp_path / "huge.json"

@@ -71,15 +71,6 @@ def test_condition_bayes_quotient():
     assert cond.prob("1") == pytest.approx(0.4 / 0.7)
 
 
-def test_condition_keep_assigned_preserves_keys():
-    d = OutcomeDistribution((0, 1), {"00": 0.5, "11": 0.5, "01": 0.0, "10": 0.0})
-    cond, event = d.condition({0: 1}, keep_assigned=True)
-    assert event == pytest.approx(0.5)
-    assert cond.measured_qubits == (0, 1)
-    assert cond.prob("11") == pytest.approx(1.0)
-    assert cond.prob("00") == 0.0
-
-
 def test_condition_impossible_event():
     d = OutcomeDistribution((0, 1), {"00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0})
     with pytest.raises(PostselectionImpossibleError):

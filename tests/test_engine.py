@@ -26,7 +26,6 @@ from dqc1sim.circuits import (
 )
 from dqc1sim.cli import main
 from dqc1sim.engine import (
-    _conditional,
     _cut,
     _passing,
     _starts,
@@ -34,6 +33,7 @@ from dqc1sim.engine import (
     all_zeros_probability,
     build_input,
     conditional_distribution,
+    density_distribution,
     exact_distribution,
     sample,
 )
@@ -93,8 +93,8 @@ def test_no_gate_mixed_measurement_is_uniform():
 
 def test_methods_agree_on_fixed_circuit():
     dc = _plain(3, (h(0), cnot(0, 1), x(2)))
-    d_density = exact_distribution(dc, "density")
-    d_mixture = exact_distribution(dc, "mixture")
+    d_density = density_distribution(dc)
+    d_mixture = exact_distribution(dc)
     assert d_density.total_variation(d_mixture) < 1e-12
 
 
@@ -104,17 +104,17 @@ def test_methods_agree_on_random_circuits(seed):
     rng = np.random.default_rng(seed)
     total = int(rng.integers(1, 7))
     dc = random_dqc1(rng, total, int(rng.integers(0, 10)))
-    d_density = exact_distribution(dc, "density")
-    d_mixture = exact_distribution(dc, "mixture")
+    d_density = density_distribution(dc)
+    d_mixture = exact_distribution(dc)
     assert d_density.total_variation(d_mixture) < 1e-10
 
 
 def test_density_method_respects_cap():
     dc = _plain(13, (), measured=(0,))
     with pytest.raises(ResourceError):
-        exact_distribution(dc, "density")
-    # the default mixture route is not bounded by the density cap
-    d = exact_distribution(dc, "mixture")
+        density_distribution(dc)
+    # the mixture route is not bounded by the density cap
+    d = exact_distribution(dc)
     assert d.prob("0") == pytest.approx(1.0)
 
 
@@ -133,19 +133,14 @@ def test_exact_cap_is_configurable(monkeypatch):
     assert exact_distribution(ok).prob("0") == pytest.approx(1.0)
 
 
-def test_unknown_method_rejected():
-    for method in ("exactly", "auto"):
-        with pytest.raises(ContractError):
-            exact_distribution(_plain(1, ()), method)
-
-
 # ---------------------------------------------------------------------------
 # conditioning and marginals
 
 def test_conditional_distribution_drops_postselected_qubit():
     # both qubits clean so the CNOT correlates them perfectly
     dc = _plain(2, (h(0), cnot(0, 1)), clean=(0, 1))
-    cond = conditional_distribution(dc, {0: 1})
+    cond, event = conditional_distribution(dc, {0: 1})
+    assert event == pytest.approx(0.5)
     assert cond.measured_qubits == (1,)
     assert cond.prob("1") == pytest.approx(1.0)
 
@@ -159,8 +154,8 @@ def test_conditional_impossible_event_raises():
 def test_postselection_spec_equivalent_to_mapping():
     # Any mapping of qubit to bit will do, numpy integers included.
     dc = _plain(2, (h(0), cnot(0, 1)))
-    via_spec = conditional_distribution(dc, MappingProxyType({np.int64(0): np.int64(0)}))
-    via_map = conditional_distribution(dc, {0: 0})
+    via_spec, _ = conditional_distribution(dc, MappingProxyType({np.int64(0): np.int64(0)}))
+    via_map, _ = conditional_distribution(dc, {0: 0})
     assert via_spec.probs == via_map.probs
 
 
@@ -242,6 +237,23 @@ def test_sample_postselected_mixed_register():
     assert abs(counts["11"] / 4000 - 0.5) < 0.05
 
 
+def test_postselected_draw_keeps_the_forced_bits(monkeypatch):
+    # The conditional cdf ends at 1 - 2^-53 here; a uniform just below 1
+    # falls past it and must still draw an outcome with qubit 0 reading 0.
+    u = random_circuit(np.random.default_rng(3), 4, 20)
+    dc = Dqc1Circuit(u, (0, 1), (0, 1, 3), postselect={0: 0})
+    top = np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(dqc1sim.engine, "_shot_uniforms", lambda seed, shots: np.full((shots, 2), top))
+    assert {key[0] for key in sample(dc, 8, seed=0).bitstrings()} == {"0"}
+
+
+def test_full_postselection_is_rejected_before_any_run(monkeypatch):
+    dc = Dqc1Circuit(Circuit(2, (h(0), cnot(0, 1))), (0, 1), (0, 1), postselect={0: 1, 1: 1})
+    monkeypatch.setattr(dqc1sim.engine, "_mixture_outcome_weights", _raise)
+    with pytest.raises(ContractError, match="postselection leaves no measured qubits"):
+        conditional_distribution(dc, dc.postselect)
+
+
 def test_sample_impossible_postselection():
     dc = Dqc1Circuit(Circuit(1, ()), (0,), (0,), postselect={0: 1})
     with pytest.raises(PostselectionImpossibleError):
@@ -271,7 +283,7 @@ def test_graph_state_vector_built_once_per_job(monkeypatch):
     # One GraphProjX; 2^4 mixed-register basis states, all of them drawn.
     gadget = graph_proj_x(GraphSpec(2, ((0, 1),)), (1, 2), 0, extra_zero=3)
     dc = _plain(5, (h(1), gadget, h(4)), measured=(0, 4))
-    exact_distribution(dc, "mixture")
+    exact_distribution(dc)
     assert len(calls) == 1
     sample(dc, 2000, seed=5)
     assert len(calls) == 2
@@ -327,7 +339,7 @@ def test_density_never_runs_the_pure_kernels(monkeypatch):
     dc = _route_circuit(6, 5)
     monkeypatch.setattr(dqc1sim.engine, "_apply_gate_kernel", _raise)
     monkeypatch.setattr(dqc1sim.engine, "_mixture_outcome_weights", _raise)
-    exact_distribution(dc, "density")
+    density_distribution(dc)
 
 
 def test_density_route_validates_once(monkeypatch):
@@ -336,23 +348,21 @@ def test_density_route_validates_once(monkeypatch):
     calls = []
     check = dqc1sim.engine._check_density
     monkeypatch.setattr(dqc1sim.engine, "_check_density", lambda rho: calls.append(1) or check(rho))
-    exact_distribution(dc, "density")
+    density_distribution(dc)
     assert len(dc.gates) > 2 and len(calls) == 1
-    conditional_distribution(dc, {dc.measured[0]: 0}, "density")
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("m", range(2, 10))
 @pytest.mark.parametrize("postselect", [False, True])
 def test_auto_is_the_mixture_route_and_matches_the_oracle(m, postselect):
     dc = _route_circuit(100 + m, m, postselect)
-    routes = [exact_distribution]
+    got, want = exact_distribution(dc), density_distribution(dc)
+    assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
     if postselect:
-        routes.append(lambda dc, *method: conditional_distribution(dc, dc.postselect, *method))
-    for route in routes:
-        default, mixture, density = route(dc), route(dc, "mixture"), route(dc, "density")
-        assert default.pmf.tobytes() == mixture.pmf.tobytes()
-        assert np.max(np.abs(default.pmf - density.pmf)) <= 1e-12
+        got, event = conditional_distribution(dc, dc.postselect)
+        want, want_event = want.condition(dc.postselect)
+        assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
+        assert abs(event - want_event) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -410,7 +420,7 @@ def _first_op_circuit(kind, seed):
 def _route_bytes(dc, bit):
     ps = {dc.measured[-1]: bit}
     try:
-        cond, event = _conditional(dc, ps)
+        cond, event = conditional_distribution(dc, ps)
         cond = (cond.pmf.tobytes(), float(event).hex())
     except PostselectionImpossibleError:
         cond = "impossible"
@@ -498,12 +508,12 @@ def _cut_circuit(dc):
     return Dqc1Circuit(Circuit(dc.total_qubits, _cut(dc)), dc.clean_qubits, dc.measured)
 
 
-@given(st.integers(0, 10_000), st.integers(2, 7), st.booleans())
+@given(st.integers(0, 10_000), st.integers(2, 7))
 @settings(max_examples=80, deadline=None)
-def test_pruned_conditional_is_the_cut_run_over_every_start(seed, m, keep_assigned):
+def test_pruned_conditional_is_the_cut_run_over_every_start(seed, m):
     dc = _prefixed_circuit(seed, m)
-    want, want_event = exact_distribution(_cut_circuit(dc)).condition(dc.postselect, keep_assigned)
-    got, event = _conditional(dc, dc.postselect, keep_assigned)
+    want, want_event = exact_distribution(_cut_circuit(dc)).condition(dc.postselect)
+    got, event = conditional_distribution(dc, dc.postselect)
     assert got.measured_qubits == want.measured_qubits
     assert got.pmf.tobytes() == want.pmf.tobytes()
     assert event == want_event
@@ -512,19 +522,18 @@ def test_pruned_conditional_is_the_cut_run_over_every_start(seed, m, keep_assign
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pruned_conditional_matches_the_oracle(m):
     dc = _prefixed_circuit(300 + m, m, body_gates=4 if m > 8 else 8)
-    got, event = _conditional(dc, dc.postselect)
-    want, want_event = exact_distribution(dc, "density").condition(dc.postselect)
+    got, event = conditional_distribution(dc, dc.postselect)
+    want, want_event = density_distribution(dc).condition(dc.postselect)
     assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
     assert abs(event - want_event) <= 1e-12
-    assert conditional_distribution(dc, dc.postselect).pmf.tobytes() == got.pmf.tobytes()
 
 
 @pytest.mark.parametrize("compiler", [compile_three, compile_n_plus_1])
 @pytest.mark.parametrize("vertices", [2, 4, 6])
 def test_pruned_reductions_match_the_oracle(compiler, vertices):
     red = compiler(pattern_from_rotations([0.7 - 0.4 * i for i in range(vertices - 1)]))
-    got, event = _conditional(red.circuit, red.postselect)
-    want, want_event = exact_distribution(red.circuit, "density").condition(red.postselect)
+    got, event = conditional_distribution(red.circuit, red.postselect)
+    want, want_event = density_distribution(red.circuit).condition(red.postselect)
     assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
     assert abs(event - want_event) <= 1e-12
 
@@ -536,11 +545,11 @@ def test_rule_a_drops_gates_before_any_clean_wire():
     late = [h(0), cnot(0, 1), h(3), cnot(1, 2)]
     dc = Dqc1Circuit(Circuit(4, early + late), (0,), (0, 1, 2, 3))
     assert _cut(dc) == [late[0], late[1], late[3]]
-    mixture, density = exact_distribution(dc), exact_distribution(dc, "density")
+    mixture, density = exact_distribution(dc), density_distribution(dc)
     assert np.max(np.abs(mixture.pmf - density.pmf)) <= 1e-12
     ps = {0: 1, 2: 0}
-    got = conditional_distribution(dc, ps)
-    want = conditional_distribution(dc, ps, "density")
+    got, _ = conditional_distribution(dc, ps)
+    want, _ = density.condition(ps)
     assert np.max(np.abs(got.pmf - want.pmf)) <= 1e-12
 
 
@@ -565,7 +574,7 @@ def test_one_start_survives_a_compile_three_chain(vertices, monkeypatch):
     assert len(starts) == 1 << (vertices + 1)
     assert starts[passing].tolist() == [0]
     rows = _pure_run_count(monkeypatch)
-    _, event = _conditional(dc, dc.postselect)
+    _, event = conditional_distribution(dc, dc.postselect)
     assert rows == [1]
     assert abs(event * 2.0 ** (2 * vertices) - 1.0) <= 1e-12
 
@@ -593,8 +602,8 @@ def test_the_filter_needs_the_cut():
     dc = compile_three(pattern_from_rotations([0.4, -1.2, 2.1])).circuit
     starts = _starts(dc)
     passing = starts[_passing(starts, _cut(dc), dc.total_qubits, dc.postselect)]
-    _, wrong = selector(dc.measured, dc.postselect)(_summed_weights(dc, dc.gates, passing))
-    _, event = _conditional(dc, dc.postselect)
-    _, oracle = exact_distribution(dc, "density").condition(dc.postselect)
+    _, wrong = selector(dc.measured, dc.postselect)[1](_summed_weights(dc, dc.gates, passing))
+    _, event = conditional_distribution(dc, dc.postselect)
+    _, oracle = density_distribution(dc).condition(dc.postselect)
     assert abs(event - oracle) <= 1e-12
     assert abs(wrong * 16 - oracle) <= 1e-12

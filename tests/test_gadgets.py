@@ -114,7 +114,7 @@ def test_w_prime_postselected_state():
         (0, 1, 2),
         postselect={0: 1},
     )
-    cond = conditional_distribution(dc, {0: 1})
+    cond, _ = conditional_distribution(dc, {0: 1})
     # ancilla reads 0, graph qubit is |+>
     assert cond.prob("00") == pytest.approx(0.5)
     assert cond.prob("01") == pytest.approx(0.5)

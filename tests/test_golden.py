@@ -18,7 +18,7 @@ import pytest
 from dqc1sim import circuits, cli
 from dqc1sim.circuits import Dqc1Circuit, parse_circuit, parse_unitary, serialize_circuit, serialize_unitary
 from dqc1sim.cli import main
-from dqc1sim.engine import exact_distribution
+from dqc1sim.engine import density_distribution, exact_distribution
 from dqc1sim.gadgets import build_trace_circuit, compile_three, pattern_from_rotations, serialize_pattern
 from dqc1sim.randcirc import random_circuit, random_dqc1
 
@@ -211,9 +211,9 @@ DENSITY_CASES = {
 @pytest.mark.parametrize("name", sorted(DENSITY_CASES))
 def test_golden_density_oracle(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "exact_distribution", lambda dc: exact_distribution(dc, "density"))
+    monkeypatch.setattr(cli, "exact_distribution", density_distribution)
     monkeypatch.setattr(
-        cli, "_conditional", lambda dc, ps: exact_distribution(dc, "density").condition(ps)
+        cli, "conditional_distribution", lambda dc, ps: density_distribution(dc).condition(ps)
     )
     argv = CASES[name][0]()
     capsys.readouterr()
@@ -228,7 +228,7 @@ def test_golden_exact_circuits_match_the_oracle(tmp_path, monkeypatch):
     for make in (_plain_circuit, _postselect_circuit):
         with open(make(), encoding="utf-8") as fh:
             dc = parse_circuit(fh.read())
-        fused, dense = (exact_distribution(dc, way).pmf for way in ("mixture", "density"))
+        fused, dense = exact_distribution(dc).pmf, density_distribution(dc).pmf
         assert np.max(np.abs(fused - dense)) <= 1e-12
 
 

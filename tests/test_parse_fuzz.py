@@ -7,9 +7,18 @@ integers, non-ASCII digits included), deleted, or joined by a new key.
 Every parser must then either succeed or raise a Dqc1Error subclass.
 Only the parsers run, so no size read from a mutated document is ever
 allocated.
+
+Mutated circuit documents and --postselect strings also run through the
+whole CLI, `exact` and `run`, with EXACT_CAP lowered so that no mutated
+width runs long: each call must succeed or exit 2, 3 or 4 with at most
+one line on stderr and no traceback.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -34,7 +43,8 @@ from dqc1sim.circuits import (
     serialize_unitary,
     u1q,
 )
-from dqc1sim.cli import _parse_postselect
+import dqc1sim.engine
+from dqc1sim.cli import _parse_postselect, main
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.errors import Dqc1Error
 from dqc1sim.gadgets import parse_pattern, pattern_from_rotations, serialize_pattern
@@ -119,12 +129,10 @@ def test_parsers_raise_only_package_errors(kind, data):
         pass
 
 
-@given(
-    st.lists(
-        st.sampled_from(["0", "1", "2", "17", "=", ",", " ", "²", "٣", "-", "x", "9" * 5000]),
-        max_size=10,
-    ).map("".join)
-)
+_POSTSELECT_TOKENS = ["0", "1", "2", "17", "=", ",", " ", "²", "٣", "-", "x", "9" * 5000]
+
+
+@given(st.lists(st.sampled_from(_POSTSELECT_TOKENS), max_size=10).map("".join))
 @settings(max_examples=200, deadline=None)
 def test_postselect_flag_raises_only_package_errors(text):
     try:
@@ -143,3 +151,40 @@ def test_huge_pattern_vertex_count_is_rejected_without_allocating():
     doc = {"graph": {"n": 10**12, "edges": [[0, 1]]}, "angles": {"0": 0.3}, "outputs": [1]}
     with pytest.raises(Dqc1Error):
         parse_pattern(json.dumps(doc))
+
+
+@st.composite
+def _mutated_postselect(draw, text: str = "0=1, 3=0"):
+    """A valid --postselect string with tokens inserted, replaced or deleted."""
+    pieces = list(text)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(pieces)))
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action != "insert" and at < len(pieces):
+            del pieces[at]
+        if action != "delete":
+            pieces.insert(at, draw(st.sampled_from(_POSTSELECT_TOKENS[:-1])))
+    return "".join(pieces)
+
+
+_CIRCUIT_TEXT = DOCUMENTS["circuit"][1]
+
+
+@given(
+    circuit=st.just(_CIRCUIT_TEXT) | _mutated(_CIRCUIT_TEXT),
+    command=st.sampled_from([["run", "--shots", "16"], ["exact"]])
+    | _mutated_postselect().map(lambda text: ["exact", f"--postselect={text}"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_cli_exits_cleanly_on_mutated_input(circuit, command):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dqc1sim.engine, "EXACT_CAP", 8)
+        path = os.path.join(tmp, "circuit.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(circuit)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--circuit", path] + command[1:])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")

@@ -21,7 +21,8 @@ PUBLIC_NAMES = [
     "all_zeros_probability", "build_W", "build_W_prime", "build_input",
     "build_trace_circuit", "check_conditional_bounds", "circuit_matrix",
     "classify_acceptance", "cluster_unitary", "cnot", "compile_n_plus_1", "compile_three",
-    "conditional_distribution", "controlled_gates", "cu", "cz", "estimate_trace",
+    "conditional_distribution", "controlled_gates", "cu", "cz", "density_distribution",
+    "estimate_trace",
     "exact_distribution", "frobenius_block_norm",
     "gate_matrix", "graph_proj_x", "h", "linear_pattern_target_probs", "mcx",
     "measurement_alignment", "minimal_multiplicative_error",

@@ -10,7 +10,12 @@ import dqc1sim.engine
 from dqc1sim import qstate
 from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, u1q, x
 from dqc1sim.circuits import Circuit, Dqc1Circuit, Gate, GraphSpec, check_unitary
-from dqc1sim.engine import _check_density, conditional_distribution, exact_distribution
+from dqc1sim.engine import (
+    _check_density,
+    conditional_distribution,
+    density_distribution,
+    exact_distribution,
+)
 from dqc1sim.errors import ContractError, ResourceError
 from dqc1sim.gadgets import build_trace_circuit, compile_n_plus_1, compile_three, pattern_from_rotations
 from dqc1sim.qstate import (
@@ -151,7 +156,7 @@ def test_evolve_density_matches_pure_conjugation():
     u = random_circuit(np.random.default_rng(17), 3, 10)
     dc = Dqc1Circuit(u, (0, 1, 2), (0, 1, 2))
     psi = _run(u.gates, 3, _basis(3, 0))[0]
-    assert np.allclose(exact_distribution(dc, "density").pmf, np.abs(psi) ** 2)
+    assert np.allclose(density_distribution(dc).pmf, np.abs(psi) ** 2)
 
 
 def test_evolve_density_cap(monkeypatch):
@@ -160,7 +165,7 @@ def test_evolve_density_cap(monkeypatch):
     monkeypatch.setattr(dqc1sim.engine, "build_input", lambda dc: np.eye(16, dtype=complex) / 16.0)
     monkeypatch.setattr("dqc1sim.circuits.DENSITY_CAP", 3)
     with pytest.raises(ResourceError):
-        exact_distribution(dc, "density")
+        density_distribution(dc)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +228,7 @@ def _fusion_circuit(seed, m, postselect=False):
         gates.insert(int(rng.integers(len(gates) + 1)), g)
     dc = Dqc1Circuit(Circuit(m, tuple(gates)), base.clean_qubits, base.measured)
     if postselect:
-        first = exact_distribution(dc, "density").marginal((dc.measured[0],))
+        first = density_distribution(dc).marginal((dc.measured[0],))
         bit = int(first.pmf[1] >= 0.5)
         dc = Dqc1Circuit(dc.circuit, dc.clean_qubits, dc.measured, postselect={dc.measured[0]: bit})
     return dc
@@ -233,10 +238,10 @@ def _fusion_circuit(seed, m, postselect=False):
 @settings(max_examples=40, deadline=None)
 def test_fused_exact_matches_the_density_oracle(seed, m, postselect):
     dc = _fusion_circuit(seed, m, postselect)
-    fused, dense = (exact_distribution(dc, way) for way in ("mixture", "density"))
+    fused, dense = exact_distribution(dc), density_distribution(dc)
     assert np.max(np.abs(fused.pmf - dense.pmf)) <= 1e-12
     if postselect:
-        fused, dense = (conditional_distribution(dc, dc.postselect, way) for way in ("mixture", "density"))
+        fused, dense = conditional_distribution(dc, dc.postselect)[0], dense.condition(dc.postselect)[0]
         assert np.max(np.abs(fused.pmf - dense.pmf)) <= 1e-12
 
 
