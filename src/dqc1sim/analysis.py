@@ -11,7 +11,6 @@ most c^2, which check_conditional_bounds verifies numerically.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -19,7 +18,8 @@ from typing import Mapping
 import numpy as np
 
 from .bits import bitstring
-from .circuits import Circuit, Dqc1Circuit, _finite_numbers, _loads, _number_field, circuit_matrix
+from .circuits import Circuit, Dqc1Circuit, _finite_numbers, _json_text, _loads, _number_field
+from .circuits import circuit_matrix
 from .config import DEFAULT_SEED, EXACT_CAP, REPORT_CAP, ZERO_PROB_TOL
 from .distributions import OutcomeDistribution
 from .engine import conditional_distribution, sample
@@ -101,20 +101,24 @@ def frobenius_block_norm(u: Circuit, k: int) -> float:
 # ---------------------------------------------------------------------------
 # multiplicative-error calculus
 
-def _row_cs(p: np.ndarray, q: np.ndarray):
-    """The minimal c of each row pair of p and q, or INCOMPARABLE when any
-    row has an outcome that exactly one side gives zero probability."""
+def _row_cs(pq: np.ndarray):
+    """The minimal c of each column of pq, p's marginal real and q's imaginary,
+    or INCOMPARABLE when a column has an outcome only one side gives zero."""
+    both = pq.view(float)
+    p, q = both[:, ::2], both[:, 1::2]
+    if both.min() > ZERO_PROB_TOL:  # no zero on either side
+        return np.maximum(np.maximum((p / q).max(axis=0), (q / p).max(axis=0)), 1.0)
     p_zero = p <= ZERO_PROB_TOL
     if np.any(p_zero != (q <= ZERO_PROB_TOL)):
         return INCOMPARABLE
     live = ~p_zero
-    pq = np.divide(p, q, out=np.zeros_like(p), where=live).max(axis=1)
-    qp = np.divide(q, p, out=np.zeros_like(p), where=live).max(axis=1)
+    pq = np.divide(p, q, out=np.zeros_like(p), where=live).max(axis=0)
+    qp = np.divide(q, p, out=np.zeros_like(p), where=live).max(axis=0)
     return np.maximum(np.maximum(pq, qp), 1.0)
 
 
 def _pair_c(p: np.ndarray, q: np.ndarray):
-    c = _row_cs(p[None], q[None])
+    c = _row_cs(np.column_stack((p, q)).view(complex))
     return c if c is INCOMPARABLE else float(c[0])
 
 
@@ -152,31 +156,16 @@ class MultiplicativeErrorReport:
 REPORT_CHUNK = 1 << 14
 
 
-def _place_values(in_subset: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Place values, in one side's joint index, of each subset's summed
-    qubits in that side's own order and of its kept qubits in the
-    subset's order.  Row s of `in_subset` marks subset s over p's qubits;
-    p's i-th qubit is the side's pos[i]-th."""
-    s, k = in_subset.shape
-    own = np.zeros_like(in_subset)
-    own[:, pos] = in_subset
-    place = 1 << np.arange(k - 1, -1, -1)
-    summed = place[np.nonzero(~own)[1]].reshape(s, -1)
-    kept = place[pos[np.nonzero(in_subset)[1]]].reshape(s, -1)
-    return summed, kept
-
-
-def _offsets(places: np.ndarray) -> np.ndarray:
-    """Column s: the 2^w sums of subsets of places[s], in the order of the
-    w-bit outcomes they encode; places[s, 0] is the most significant.
-    Built by doubling, w adds: a product with a table of digits is as
-    fast, but numpy's integer matmul raised check-error's peak RSS by
-    about 0.5 MB."""
-    s, w = places.shape
-    off = np.empty((1 << w, s), np.intp)
-    off[0] = 0
+def _offsets(places: np.ndarray, start, out: np.ndarray | None = None) -> np.ndarray:
+    """Column s: start[s] plus the 2^w sums of subsets of places[:, s], in
+    the order of the w-bit outcomes they encode, places[0, s] the most
+    significant.  Built by doubling, w adds: numpy's integer matmul is as
+    fast, but raised check-error's peak RSS by about 0.5 MB."""
+    w, s = places.shape
+    off = np.empty((1 << w, s), np.intp) if out is None else out
+    off[0] = start
     for j in range(w):
-        np.add(off[: 1 << j], places[:, w - 1 - j], out=off[1 << j : 2 << j])
+        np.add(off[: 1 << j], places[w - 1 - j], out=off[1 << j : 2 << j])
     return off
 
 
@@ -188,64 +177,98 @@ def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     return digits == 1, digits.sum(axis=1)
 
 
-def multiplicative_error_report(p: OutcomeDistribution, q: OutcomeDistribution):
-    """Minimal c for every non-empty subset of the measured qubits, or
-    INCOMPARABLE if any subset (including the full joint) mismatches.
-    The 2^k - 1 marginals of each side cost O(4^k), so k above
-    REPORT_CAP raises ResourceError before any is built.
+def _level_tables(in_subset, at, pos, rank, above):
+    """Tables of the subsets of one size r, rows `at` of the subset masks,
+    on a side whose order puts p's i-th qubit at pos[i]: the places of each
+    subset's summed qubits in the side's order, then of its kept ones in
+    p's; its prefix (None at r = k): offsets per place of the first summed
+    qubit among its parent's, that place, and the parent's stored column;
+    and which subsets the next size reads back, those holding the side's
+    first qubit.  `rank` maps rows to stored columns; `above` counts the
+    columns the last size stored."""
+    k = in_subset.shape[1]
+    t = k - int(in_subset[0].sum())
+    order = np.argsort(np.where(in_subset, k + np.arange(k), pos), axis=1, kind="stable")
+    keep, prefix = in_subset[:, np.argmin(pos)], None
+    if t:
+        r, b = k - t, np.arange(k - t)[:, None]
+        ins = _offsets(above << (r - b - (b >= np.arange(r + 1))), 0)
+        at_first = np.count_nonzero(order[:, t:] < order[:, :1], axis=1)
+        prefix = ins, at_first, (1 << k) + rank[at - (1 << (k - 1 - order[:, 0]))]
+    rank[at] = np.cumsum(keep) - keep
+    return (1 << (k - 1 - pos))[order].T, prefix, keep
 
-    The marginals of the subsets of one size r are built REPORT_CHUNK
-    joint entries at a time: an index gathers each joint into an array
-    (summed outcome, subset, kept outcome), and one sum over its first axis
-    adds the rows in the order OutcomeDistribution.marginal does.  Every
-    marginal, and so every c, is bit-identical to that of one pair of
-    marginal distributions per subset.
-    """
+
+def multiplicative_error_report(p: OutcomeDistribution, q: OutcomeDistribution):
+    """Minimal c for every non-empty subset of the measured qubits, by
+    size and in combinations order within a size, or INCOMPARABLE if any
+    subset (the joint included) mismatches.  The 2^k - 1 marginals of
+    each side cost O(4^k), so k above REPORT_CAP raises ResourceError first.
+
+    Sizes run from k down to 1.  Each marginal adds its rows in the order
+    OutcomeDistribution.marginal does, so every c is bit-identical to that
+    of one pair of marginal distributions per subset.  The rows where the
+    subset's first summed qubit reads 0 come first and add up to the
+    marginal of its parent, the subset plus that qubit, kept from the size
+    before.  That prefix and the rest of the joint are gathered
+    REPORT_CHUNK entries at a time into an array (row, kept outcome,
+    subset), and one sum over rows finishes each marginal."""
     k = len(p.measured_qubits)
     if k > REPORT_CAP:
         raise ResourceError(f"{k} measured qubits exceed the error-report cap of {REPORT_CAP}")
     _same_qubits(p, q)
     qubits = p.measured_qubits
-    positions = [np.arange(k)]
-    if q.measured_qubits != qubits:
+    if q.measured_qubits == qubits:
+        # p real and q imaginary, so one gather serves both.
+        sides = [(np.arange(k), np.column_stack((p.pmf, q.pmf)).view(complex)[:, 0])]
+    else:
         # q's marginals come from q itself rather than from q reordered to
         # p's qubit order, so each sums q's entries in q's own outcome order.
-        positions.append(np.array([q.measured_qubits.index(x) for x in qubits]))
+        sides = [(np.arange(k), p.pmf), (np.array(list(map(q.measured_qubits.index, qubits))), q.pmf)]
     subsets, sizes = _subset_masks(k)
-    # A chunk holds at least one whole joint.
+    # A chunk holds at least one subset, whose index has at most 2^k entries.
     room = max(REPORT_CHUNK, 1 << k)
-    step = room >> k
-    # intp, as np.take copies any other index type to intp first.
-    index = np.empty(room, np.intp)
-    gathered = np.empty(room)
-    per: dict[tuple[int, ...], float] = {}
-    worst = 1.0
-    for r in range(1, k + 1):
-        in_subset = subsets[sizes == r]
-        places = [_place_values(in_subset, pos) for pos in positions]
-        cs = []
-        for lo in range(0, len(in_subset), step):
+    index, gathered = np.empty(room, np.intp), np.empty(room, sides[0][1].dtype)
+    # Per side: its order, each subset's stored column, and the joint then
+    # the marginals the last size stored.
+    sides = [(pos, np.zeros(1 << k, np.intp), joint) for pos, joint in sides]
+    levels, above = [], 0
+    for r in range(k, 0, -1):
+        at = np.flatnonzero(sizes == r)
+        tables = [_level_tables(subsets[at], at, pos, rank, above) for pos, rank, _ in sides]
+        above, stores = int(np.count_nonzero(tables[0][2])), []
+        for _, _, src in sides:  # rebinding src frees the size before last
+            stores.append(np.empty((1 << k) + (above << r), src.dtype))
+            stores[-1][: 1 << k] = src[: 1 << k]
+        rows = (r < k) + (1 << max(k - r - 1, 0))
+        step, cs = room // (rows << r), []
+        for lo in range(0, len(at), step):
             chunk = slice(lo, lo + step)
-            marginals = []
-            for side, pmf in enumerate((p.pmf, q.pmf)):
-                if side < len(places):
-                    summed, kept = places[side]
-                    rows, cols = _offsets(summed[chunk]), _offsets(kept[chunk])
-                    shape = (len(rows), rows.shape[1], len(cols))
-                    size = math.prod(shape)
-                    idx = np.add(rows[:, :, None], cols.T, out=index[:size].reshape(shape))
+            s = len(at[chunk])
+            idx = index[: (rows << r) * s].reshape(rows, 1 << r, s)
+            marg = np.empty((1 << r, s), complex)
+            outs = [marg] if len(sides) == 1 else [marg.real, marg.imag]
+            for (_, rank, src), (places, prefix, keep), out, dst in zip(sides, tables, outs, stores):
+                lead, places = 0, places[:, chunk]
+                if prefix is not None:  # offsets per place, each subset's place, parent's column
+                    np.add(prefix[0][:, prefix[1][chunk]], prefix[2][chunk], out=idx[0])
+                    lead, places = places[0], places[1:]
+                _offsets(places, lead, idx[rows - (1 << len(places) >> r) :].reshape(-1, s))
                 # The index is in range by construction; mode "raise" would
                 # gather into a temporary and copy it to `out`.
-                out = gathered[:size].reshape(shape)
-                marginals.append(np.take(pmf, idx, out=out, mode="clip").sum(axis=0, initial=0.0))
-            c = _row_cs(*marginals)
+                g = np.take(src, idx, out=gathered[: idx.size].reshape(idx.shape), mode="clip")
+                g.sum(axis=0, initial=0.0, out=out)
+                store = dst[1 << k :].reshape(1 << r, above)
+                store[:, rank[at[chunk]][keep[chunk]]] = out[:, keep[chunk]]
+            c = _row_cs(marg)
             if c is INCOMPARABLE:
                 return INCOMPARABLE
             cs.append(c)
-        c = np.concatenate(cs)
-        per.update(zip(itertools.combinations(qubits, r), c.tolist()))
-        worst = max(worst, float(c.max()))
-    return MultiplicativeErrorReport(per, worst)
+        levels.append(np.concatenate(cs))
+        sides = [(pos, rank, dst) for (pos, rank, _), dst in zip(sides, stores)]
+    cs = np.concatenate(levels[::-1])
+    subsets = (subset for r in range(1, k + 1) for subset in itertools.combinations(qubits, r))
+    return MultiplicativeErrorReport(dict(zip(subsets, cs.tolist())), max(1.0, float(cs.max())))
 
 
 @dataclass(frozen=True)
@@ -354,8 +377,7 @@ def classify_acceptance(
 # distribution documents
 
 def serialize_distribution(d: OutcomeDistribution) -> str:
-    obj = {"measured": list(d.measured_qubits), "probs": d.probs}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_text({"measured": list(d.measured_qubits), "probs": d.probs}) + "\n"
 
 
 def parse_distribution(text: str) -> OutcomeDistribution:

@@ -168,15 +168,12 @@ class Gate:
                 raise ValidationError(
                     f"{kind} takes {_TARGETS[kind]} target(s), got {len(self.qubits)}"
                 )
-            expected_controls = 1 if kind == "CNOT" else None
-            if kind == "MCX":
-                expected_controls = len(self.controls)  # any number, incl. zero
+            # MCX takes any number of controls, zero included.
+            expected_controls = {"CNOT": 1, "MCX": len(self.controls)}.get(kind, 0)
             if kind == "GraphProjX":
                 if self.graph is None:
                     raise ValidationError("GraphProjX needs a graph")
                 expected_controls = self.graph.num_vertices
-            if expected_controls is None:
-                expected_controls = 0
             if len(self.controls) != expected_controls:
                 raise ValidationError(
                     f"{kind} takes {expected_controls} control(s), got {len(self.controls)}"
@@ -210,11 +207,7 @@ class Gate:
                 raise ValidationError(f"{kind} takes no extra_zero qubit")
 
     def remapped(self, mapping: Mapping[int, int] | Callable[[int], int]) -> "Gate":
-        if callable(mapping):
-            f = mapping
-        else:
-            table = {int(k): int(v) for k, v in mapping.items()}
-            f = table.__getitem__
+        f = mapping if callable(mapping) else {int(k): int(v) for k, v in mapping.items()}.__getitem__
         return replace(
             self,
             qubits=tuple(f(q) for q in self.qubits),
@@ -226,14 +219,9 @@ class Gate:
         return self.remapped(lambda q: q + offset)
 
     def inverse(self) -> "Gate":
-        if self.kind == "S":
-            return replace(self, kind="Sdg")
-        if self.kind == "Sdg":
-            return replace(self, kind="S")
-        if self.kind == "T":
-            return replace(self, kind="Tdg")
-        if self.kind == "Tdg":
-            return replace(self, kind="T")
+        dagger = {"S": "Sdg", "Sdg": "S", "T": "Tdg", "Tdg": "T"}.get(self.kind)
+        if dagger:
+            return replace(self, kind=dagger)
         if self.kind == "RZ":
             return replace(self, theta=-self.theta)
         if self.kind in ("U1Q", "CU"):
@@ -244,15 +232,8 @@ class Gate:
     def __eq__(self, other):
         if not isinstance(other, Gate):
             return NotImplemented
-        if (
-            self.kind != other.kind
-            or self.qubits != other.qubits
-            or self.controls != other.controls
-            or self.polarities != other.polarities
-            or self.theta != other.theta
-            or self.graph != other.graph
-            or self.extra_zero != other.extra_zero
-        ):
+        fields = ("kind", "qubits", "controls", "polarities", "theta", "graph", "extra_zero")
+        if any(getattr(self, f) != getattr(other, f) for f in fields):
             return False
         if (self.matrix is None) != (other.matrix is None):
             return False
@@ -432,12 +413,8 @@ class Dqc1Circuit:
     def __eq__(self, other):
         if not isinstance(other, Dqc1Circuit):
             return NotImplemented
-        return (
-            self.circuit == other.circuit
-            and self.clean_qubits == other.clean_qubits
-            and self.measured == other.measured
-            and self.postselect == other.postselect
-        )
+        mine = (self.circuit, self.clean_qubits, self.measured, self.postselect)
+        return mine == (other.circuit, other.clean_qubits, other.measured, other.postselect)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +426,16 @@ def _embed(small: np.ndarray, wires: Sequence[int], num_qubits: int) -> np.ndarr
     wires[0] is the most significant bit of the operator's own index.
     Works for any matrix, not only unitaries, so projectors embed too.
     """
-    k = len(wires)
     m = num_qubits
-    rest = [q for q in range(m) if q not in wires]
-    nrest = len(rest)
-    r = np.arange(1 << nrest, dtype=np.int64)
-    base = np.zeros(1 << nrest, dtype=np.int64)
-    for j, q in enumerate(rest):
-        base |= ((r >> (nrest - 1 - j)) & 1) << (m - 1 - q)
-    loc = np.arange(1 << k, dtype=np.int64)
-    offs = np.zeros(1 << k, dtype=np.int64)
-    for i, q in enumerate(wires):
-        offs |= ((loc >> (k - 1 - i)) & 1) << (m - 1 - q)
+
+    def spread(qs):  # the full index of each local index over the wires qs
+        loc = np.arange(1 << len(qs), dtype=np.int64)
+        bits = [((loc >> (len(qs) - 1 - i)) & 1) << (m - 1 - q) for i, q in enumerate(qs)]
+        return sum(bits, np.zeros_like(loc))
+
+    base, offs = spread([q for q in range(m) if q not in wires]), spread(wires)
     full = np.zeros((1 << m, 1 << m), dtype=complex)
-    for li in range(1 << k):
-        rows = base + offs[li]
-        for lj in range(1 << k):
-            full[rows, base + offs[lj]] = small[li, lj]
+    full[(base[:, None] + offs)[:, :, None], (base[:, None] + offs)[:, None, :]] = small
     return full
 
 
@@ -672,6 +642,20 @@ def _layout(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
 
+def _json_text(obj: Any, pad: str = "") -> str:
+    """obj opened on a line indented by `pad`, byte for byte as
+    json.dumps(obj, indent=2, sort_keys=True) writes it there, for dicts
+    with string keys, lists, tuples, str, int, float, bool and None."""
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, dict):
+        inner, key = pad + "  ", json.encoder.encode_basestring_ascii
+        return _layout([f"{key(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)], pad, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _layout([_json_text(v, pad + "  ") for v in obj], pad)
+    return json.dumps(obj)  # a scalar: the same bytes with or without indent
+
+
 def _ints(values: Sequence[int], pad: str) -> str:
     return _layout(list(map(str, values)), pad)
 
@@ -688,9 +672,8 @@ def _gate_text(g: Gate, pad: str) -> str:
         items.append(f'"extra_zero": {g.extra_zero}')
     items.append('"g": ' + json.encoder.encode_basestring_ascii(g.kind))
     if g.graph is not None:
-        edges = _layout([_ints(e, p + "    ") for e in g.graph.edges], p + "  ")
-        graph = [f'"edges": {edges}', f'"n": {g.graph.num_vertices}']
-        items.append('"graph": ' + _layout(graph, p, "{}"))
+        graph = {"edges": [list(e) for e in g.graph.edges], "n": g.graph.num_vertices}
+        items.append('"graph": ' + _json_text(graph, p))
     if g.polarities:
         items.append('"pol": ' + _ints(g.polarities, p))
     items.append('"q": ' + _ints(g.qubits, p))
@@ -717,8 +700,7 @@ def serialize_circuit(dc: Dqc1Circuit) -> str:
         '"measure": ' + _ints(dc.measured, "  "),
     ]
     if dc.postselect:
-        bits = sorted((str(q), b) for q, b in dc.postselect.items())
-        items.append('"postselect": ' + _layout([f'"{q}": {b}' for q, b in bits], "  ", "{}"))
+        items.append('"postselect": ' + _json_text({str(q): b for q, b in dc.postselect.items()}, "  "))
     items.append(f'"total_qubits": {dc.total_qubits}')
     return _layout(items, "", "{}") + "\n"
 

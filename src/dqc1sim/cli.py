@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -23,7 +23,7 @@ from .analysis import (
     multiplicative_error_report,
     parse_distribution,
 )
-from .circuits import _index_field, parse_circuit, parse_unitary, serialize_circuit
+from .circuits import _index_field, _json_text, parse_circuit, parse_unitary, serialize_circuit
 from .config import DEFAULT_SEED
 from .engine import conditional_distribution, exact_distribution, sample
 from .errors import (
@@ -72,7 +72,7 @@ def _parse_postselect(text: str) -> dict[int, int]:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(doc) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -136,10 +136,10 @@ def cmd_check_error(args: argparse.Namespace) -> int:
     if report is INCOMPARABLE:
         _emit({"incomparable": True})
         return EXIT_OK
-    per = {
-        ",".join(str(i) for i in subset): c
-        for subset, c in report.per_marginal_c.items()
-    }
+    # The report lists the subsets by size, each size in combinations order.
+    names = list(map(str, p.measured_qubits))
+    subsets = (subset for r in range(1, len(names) + 1) for subset in itertools.combinations(names, r))
+    per = dict(zip(map(",".join, subsets), report.per_marginal_c.values()))
     _emit({"per_marginal_c": per, "worst_c": report.worst_c})
     return EXIT_OK
 

@@ -296,7 +296,7 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
         _, select = selector(dc.measured, dc.postselect)
         pmf, _ = select(_passing_weights(dc, dc.postselect))
         cdf = np.cumsum(pmf)
-        cdf[-1] = max(cdf[-1], 1.0)
+        cdf[cdf == cdf[-1]] = max(cdf[-1], 1.0)  # the gap goes to the last outcome with weight
         # The outcomes that match, in the order of the pmf's entries.
         fixed = {dc.measured.index(q): b for q, b in dc.postselect.items()}
         matching = np.flatnonzero(_reading(np.arange(1 << k), fixed, k))
@@ -317,7 +317,7 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
         for block in _weight_rows(dc, dc.gates, starts):
             # Each row's cumsum adds in the order a lone row's does.
             cdf = np.cumsum(np.maximum(block, 0.0), axis=1)
-            np.maximum(cdf[:, -1], 1.0, out=cdf[:, -1])
+            np.copyto(cdf, np.maximum(cdf[:, -1:], 1.0), where=cdf == cdf[:, -1:])
             for row, end in zip(cdf, ends):
                 drawn[start:end] = np.searchsorted(row, uniforms[start:end], side="right")
                 start = end

@@ -14,7 +14,6 @@ so only three qubits are ever measured, two of them postselected.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,6 +27,7 @@ from .circuits import (
     GraphSpec,
     _graph_from_obj,
     _index_field,
+    _json_text,
     _loads,
     _number_field,
     _small_matrix,
@@ -302,12 +302,9 @@ def compile_three(p: MbqcPattern) -> CompiledReduction:
 # pattern file format
 
 def serialize_pattern(p: MbqcPattern) -> str:
-    obj = {
-        "graph": {"n": p.graph.num_vertices, "edges": [list(e) for e in p.graph.edges]},
-        "angles": {str(v): a for v, a in sorted(p.angles.items())},
-        "outputs": list(p.outputs),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    graph = {"n": p.graph.num_vertices, "edges": [list(e) for e in p.graph.edges]}
+    angles = {str(v): a for v, a in sorted(p.angles.items())}
+    return _json_text({"graph": graph, "angles": angles, "outputs": list(p.outputs)}) + "\n"
 
 
 def parse_pattern(text: str) -> MbqcPattern:

@@ -21,8 +21,9 @@ from dqc1sim.analysis import (
     parse_distribution,
     serialize_distribution,
 )
+import dqc1sim.analysis
 from dqc1sim.circuits import Circuit, Dqc1Circuit, h, t, x
-from dqc1sim.config import ZERO_PROB_TOL
+from dqc1sim.config import REPORT_CAP, ZERO_PROB_TOL
 from dqc1sim.distributions import OutcomeDistribution
 from dqc1sim.engine import all_zeros_probability
 from dqc1sim.errors import ContractError, ParseError, PostselectionImpossibleError
@@ -269,9 +270,24 @@ def test_report_matches_one_marginal_pair_per_subset(k, seed, zeros, mismatches,
 
 @pytest.mark.parametrize("shuffle", [False, True])
 def test_report_matches_reference_where_chunks_split_a_subset_size(shuffle):
-    # At k = 11 a chunk holds 8 subsets, so the 11 of size 1 take two.
+    # At k = 11 a subset of size r < 11 gathers 2^10 + 2^r entries, so a
+    # chunk holds 8 to 15 of them and each size from 2 to 10 takes several.
     assert REPORT_CHUNK >> 11 == 8
     p, q = _random_pair(np.random.default_rng(11), 11, zeros=0.1, shuffle=shuffle)
+    _assert_same_report(p, q)
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.2])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_report_at_a_chunk_of_one_joint(monkeypatch, zeros, extra):
+    # At k = REPORT_CAP the chunk is exactly one joint, room = 2^k, and a
+    # subset gathers more than half of it, so each pass holds one subset; a
+    # small k with REPORT_CHUNK at 2^k (and at 2^(k+1): two or three
+    # subsets per pass) runs the same edge.
+    assert max(REPORT_CHUNK, 1 << REPORT_CAP) == 1 << REPORT_CAP
+    k = 6
+    monkeypatch.setattr(dqc1sim.analysis, "REPORT_CHUNK", 1 << (k + extra))
+    p, q = _random_pair(np.random.default_rng(14 + extra), k, zeros=zeros, shuffle=True)
     _assert_same_report(p, q)
 
 

@@ -3,7 +3,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dqc1sim.circuits
@@ -247,6 +247,29 @@ def test_postselected_draw_keeps_the_forced_bits(monkeypatch):
     assert {key[0] for key in sample(dc, 8, seed=0).bitstrings()} == {"0"}
 
 
+def _clean_wire_last(seed, clean, postselect):
+    """A random circuit on wires 1-3 with wire 0 clean, untouched and
+    measured last: every outcome whose last bit reads 1 has probability 0."""
+    u = random_circuit(np.random.default_rng(seed), 3, 20)
+    gates = tuple(g.remapped(lambda q: q + 1) for g in u.gates)
+    return Dqc1Circuit(Circuit(4, gates), clean, (1, 2, 3, 0), postselect)
+
+
+# Postselected, wire 1 is clean too, so the conditional pmf is not uniform.
+@pytest.mark.parametrize(
+    "clean, postselect", [((0,), None), ((0, 1), {2: 0})], ids=["plain", "postselected"]
+)
+def test_rounding_gap_never_draws_an_outcome_of_weight_zero(monkeypatch, clean, postselect):
+    # A row total (or conditional cdf) of 1 - 2^-53 leaves a gap below 1;
+    # a uniform in it must land on the last outcome with weight, not on
+    # the last outcome, which reads the clean wire 0 as 1.
+    top = np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(dqc1sim.engine, "_shot_uniforms", lambda seed, shots: np.full((shots, 2), top))
+    for seed in range(40):
+        dc = _clean_wire_last(seed, clean, postselect)
+        assert {key[-1] for key in sample(dc, 4, seed=0).bitstrings()} == {"0"}
+
+
 def test_full_postselection_is_rejected_before_any_run(monkeypatch):
     dc = Dqc1Circuit(Circuit(2, (h(0), cnot(0, 1))), (0, 1), (0, 1), postselect={0: 1, 1: 1})
     monkeypatch.setattr(dqc1sim.engine, "_mixture_outcome_weights", _raise)
@@ -400,9 +423,12 @@ def _first_op_circuit(kind, seed):
     tail = list(random_circuit(rng, 6, 8).gates)
     if kind == "peeled":
         # Every gate under the mixed wire w[0], as in a trace circuit, so
-        # each fused block peels w[0] off as a control.
+        # each fused block peels w[0] off as a control.  The head is a
+        # controlled H on the clean wire w[1]: H is not diagonal, so w[1]
+        # cannot be peeled before w[0] (a symmetric controlled phase, such
+        # as controlled Sdg then Tdg, would let the lower wire go first).
         u = (g.remapped(lambda q: w[1 + q]) for g in random_circuit(rng, 5, 10).gates)
-        gates = [cg for g in u for cg in controlled_gates(g, w[0])]
+        gates = [cg for g in (h(w[1]), *u) for cg in controlled_gates(g, w[0])]
         clean = w[1]
     elif kind == "mcx0":
         # Five wires: wider than a fused block, so it stays a lone MCX.
@@ -440,6 +466,10 @@ def _route_bytes(dc, bit):
     rows=st.sampled_from([1, 3, 32]),
     bit=st.integers(0, 1),
 )
+# Without the controlled H head, this circuit opens with controlled Sdg
+# then Tdg on wire 1 under control 4, a symmetric phase, and the block
+# peeled wire 1 instead of the control.
+@example(kind="peeled", seed=39647, rows=1, bit=0)
 def test_first_op_written_as_columns_keeps_every_byte(kind, seed, rows, bit):
     # rows starts per block: one, a partial last block of 32 mixed starts,
     # or all of them in one.

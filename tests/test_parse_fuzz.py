@@ -10,8 +10,9 @@ allocated.
 
 Mutated circuit documents and --postselect strings also run through the
 whole CLI, `exact` and `run`, with EXACT_CAP lowered so that no mutated
-width runs long: each call must succeed or exit 2, 3 or 4 with at most
-one line on stderr and no traceback.
+width runs long, and mutated distribution documents through
+`check-error`: each call must succeed or exit 2, 3 or 4 with at most one
+line on stderr and no traceback.
 """
 
 import contextlib
@@ -185,6 +186,33 @@ def test_cli_exits_cleanly_on_mutated_input(circuit, command):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command[0], "--circuit", path] + command[1:])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
+
+
+# Two valid distributions over the same qubits, listed in two orders.
+_DISTRIBUTION_TEXTS = (
+    DOCUMENTS["distribution"][1],
+    serialize_distribution(OutcomeDistribution((0, 2), np.array([0.25, 0.15, 0.35, 0.25]))),
+)
+_DISTRIBUTIONS = st.sampled_from(_DISTRIBUTION_TEXTS)
+
+
+@given(
+    p=_DISTRIBUTIONS | _DISTRIBUTIONS.flatmap(_mutated),
+    q=_DISTRIBUTIONS | _DISTRIBUTIONS.flatmap(_mutated),
+)
+@settings(max_examples=150, deadline=None)
+def test_check_error_exits_cleanly_on_mutated_input(p, q):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "p.json"), os.path.join(tmp, "q.json")]
+        for path, text in zip(paths, (p, q)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-error"] + paths)
     assert code in (0, 2, 3, 4), err.getvalue()
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     assert (code == 0) == (out.getvalue() != "")

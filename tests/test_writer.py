@@ -1,6 +1,7 @@
-"""The circuit writer against json.dumps(indent=2, sort_keys=True).
+"""The writers against json.dumps(indent=2, sort_keys=True).
 
-serialize_circuit and serialize_unitary lay their documents out by hand.
+serialize_circuit and serialize_unitary lay their documents out by hand,
+and _json_text writes every other document the package emits.
 Their bytes must be those of json.dumps on the document object, for every
 gate kind and for floats json writes in unusual ways (-0.0, subnormals,
 1e300-scale parts).  A writer sees only the fields of what it writes, so
@@ -23,6 +24,7 @@ from dqc1sim.circuits import (
     Dqc1Circuit,
     Gate,
     GraphSpec,
+    _json_text,
     serialize_circuit,
     serialize_unitary,
 )
@@ -178,3 +180,32 @@ def test_writer_matches_json_dumps_on_checked_circuits():
         assert serialize_circuit(dc) == _circuit_doc(dc)
         c = random_circuit(rng, 4, 14)
         assert serialize_unitary(c) == _unitary_doc(c)
+
+
+# ---------------------------------------------------------------------------
+# _json_text on any document
+
+_STRINGS = st.text(max_size=5) | st.sampled_from(["10", "2", "é", '"', "\\", "\n", "\u2028", "\ud800"])
+_DOC_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([10**30, -(10**40)]),
+    st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308 / 3, float("inf"), float("-inf")]),
+    _STRINGS,
+)
+_DOCS = st.recursive(
+    _DOC_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_DOCS)
+@example({"10": -0.0, "2": [float("nan"), float("inf"), -float("inf"), 5e-324], "": {}})
+@example({"é": '"\\\n\u2028\ud800', "a": [10**30, True, False, None, []]})
+@example([])
+@settings(max_examples=400, deadline=None)
+def test_json_text_matches_json_dumps(doc):
+    assert _json_text(doc, "") == json.dumps(doc, indent=2, sort_keys=True)
