@@ -22,7 +22,7 @@ from .circuits import Circuit, Dqc1Circuit, _finite_numbers, _json_text, _loads,
 from .circuits import circuit_matrix
 from .config import DEFAULT_SEED, EXACT_CAP, REPORT_CAP, ZERO_PROB_TOL
 from .distributions import OutcomeDistribution
-from .engine import conditional_distribution, sample
+from .engine import _shot_counts, conditional_distribution
 from .errors import ContractError, ParseError, ResourceError
 from .gadgets import build_trace_circuit
 
@@ -71,8 +71,7 @@ def estimate_trace(
     """Sample the trace circuit for `u` and linearly invert the clean-qubit
     statistics: estimate = 2 p0 - 1, stderr = 2 sqrt(p0 (1-p0) / shots)."""
     dc = build_trace_circuit(u, part)
-    record = sample(dc, shots, seed)
-    p0 = np.count_nonzero(record.outcomes == 0) / shots
+    p0 = int(_shot_counts(dc, shots, seed)[0]) / shots
     return TraceEstimate(
         normalized_trace_part=2.0 * p0 - 1.0,
         stderr=2.0 * math.sqrt(p0 * (1.0 - p0) / shots),

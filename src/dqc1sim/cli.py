@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .circuits import _index_field, _json_text, parse_circuit, parse_unitary, serialize_circuit
 from .config import DEFAULT_SEED
-from .engine import conditional_distribution, exact_distribution, sample
+from .engine import _keyed_counts, _shot_counts, conditional_distribution, exact_distribution
 from .errors import (
     ContractError,
     Dqc1Error,
@@ -77,8 +77,7 @@ def _emit(doc: dict) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     dc = parse_circuit(_read_text(args.circuit))
-    record = sample(dc, args.shots, args.seed)
-    counts = {key: int(v) for key, v in record.counts().items()}
+    counts = _keyed_counts(_shot_counts(dc, args.shots, args.seed), len(dc.measured))
     _emit({"counts": counts, "shots": args.shots, "seed": args.seed})
     return EXIT_OK
 

@@ -21,8 +21,11 @@ DEFAULT_SEED = 12345
 # 2^m-amplitude vectors), and the width of distribution documents.
 # REPORT_CAP bounds the measured qubits of a multiplicative-error report,
 # which builds all 2^k - 1 marginals.  SHOTS_CAP bounds the shots of one
-# sampling run, which peaks at 32 bytes per shot (two float64 uniforms, the
-# scaled draws and their int64 copy), so 2^24 shots hold 512 MiB at most.
+# sampling run: its time, and the 8-byte outcome per shot that sample()
+# returns (128 MiB at the cap).  Counting runs (run, trace) draw the shots
+# a chunk at a time and hold no per-shot array, except where grouping the
+# shots by draw (32 bytes a shot) is smaller than a table of every drawn
+# start's cdf: k >= 3 measured qubits and fewer than 2^(mixed + k - 2) shots.
 DENSITY_CAP = 12
 EXACT_CAP = 16
 REPORT_CAP = 14

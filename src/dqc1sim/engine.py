@@ -28,16 +28,20 @@ start over the whole register.
 Sampling is per shot: draw a mixed-register basis state, run it pure
 through every gate (no cut, no filter: each shot is tied to its draw),
 then draw the outcome, all from a counter-based random stream so a (seed,
-shot index) pair always yields the same shot; the distinct draws run in
-blocks too.  Shots are grouped by draw with one bincount and one stable
-argsort of the draws narrowed to the smallest unsigned type, which numpy
-sorts by radix up to 16 bits, so a group lists its shots in index order.
-Each block of distinct draws takes one cumsum, and each group one
-searchsorted over its contiguous slice of the uniforms sorted by draw.
-Postselected shots are drawn from the conditional distribution of the
-free measured qubits, and the forced bits are set on every draw.  Every
-pure-state route is capped at EXACT_CAP qubits and sampling at SHOTS_CAP
-shots, checked before anything is allocated.
+shot index) pair always yields the same shot.  The shots are drawn
+SHOT_CHUNK at a time from one stream, which goes on across chunks.  A
+start runs once, in blocks, when a chunk first draws it, and its cdf row
+stays in a table indexed by draw; each shot takes the index searchsorted
+gives in its row, by a branch-free binary search over the chunk.  Where
+that table would outweigh all the shots grouped by draw (32 bytes a
+shot), they are grouped instead, with one bincount and one stable argsort
+of the draws narrowed to the smallest unsigned type, which numpy sorts by
+radix up to 16 bits, and each group takes one searchsorted over its slice
+of the uniforms sorted by draw.  Callers that only count the shots add one
+bincount per chunk.  Postselected shots are drawn from the conditional
+distribution of the free measured qubits, and the forced bits are set on
+every draw.  Every pure-state route is capped at EXACT_CAP qubits and
+sampling at SHOTS_CAP shots, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ from .qstate import _ControlledMatrix, _outcome_weights, compile_circuit
 # states.  Larger blocks raise the sampler's peak memory, not its speed.
 BLOCK_AMPLITUDES = 1 << 14
 
+# Shots per chunk of a sampling run (512 KiB of uniforms).  At 2^14 a trace
+# call of 10^5 shots took 11x the minor page faults, as glibc mapped and
+# unmapped each chunk temporary; 2^16 holds more and faults twice as often.
+SHOT_CHUNK = 1 << 15
+
 
 @dataclass(eq=False)
 class ShotRecord:
@@ -75,9 +84,13 @@ class ShotRecord:
         return (bitstring(int(o), k) for o in self.outcomes)
 
     def counts(self) -> dict[str, int]:
-        k = len(self.measured_qubits)
-        values, freq = np.unique(self.outcomes, return_counts=True)
-        return {bitstring(int(v), k): int(f) for v, f in zip(values, freq)}
+        return _keyed_counts(np.bincount(self.outcomes), len(self.measured_qubits))
+
+
+def _keyed_counts(counts: np.ndarray, k: int) -> dict[str, int]:
+    """The nonzero entries of per-outcome counts, keyed by their k-bit
+    bitstrings in outcome order."""
+    return {bitstring(int(v), k): int(counts[v]) for v in np.flatnonzero(counts)}
 
 
 def build_input(dc: Dqc1Circuit) -> np.ndarray:
@@ -182,14 +195,10 @@ def _passing(
     return _reading(values, {q: b for q, b in ps.items() if q not in quantum}, m)
 
 
-def _weight_rows(
-    dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Outcome weights of pure runs of `gates` compiled once, one row per
-    start, yielded a block of BLOCK_AMPLITUDES amplitudes at a time."""
-    m = dc.total_qubits
-    ops = compile_circuit(gates, m)
-    rows = max(1, BLOCK_AMPLITUDES >> m)
+def _weight_rows(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> Iterator[np.ndarray]:
+    """Outcome weights of pure runs of the compiled ops, one row per start,
+    yielded a block of BLOCK_AMPLITUDES amplitudes at a time."""
+    rows = max(1, BLOCK_AMPLITUDES >> dc.total_qubits)
     for i in range(0, len(starts), rows):
         yield _mixture_outcome_weights(dc, ops, starts[i : i + rows])
 
@@ -199,7 +208,7 @@ def _summed_weights(dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray) 
     1/2^(mixed qubits).  Rows are added one at a time in start order, as by
     lone runs, so a start left out that adds zeros changes no byte."""
     weights = np.zeros(1 << len(dc.measured))
-    for block in _weight_rows(dc, gates, starts):
+    for block in _weight_rows(dc, compile_circuit(gates, dc.total_qubits), starts):
         for row in block:
             weights += row
     weights *= 1.0 / (1 << len(dc.mixed_qubits))
@@ -262,12 +271,127 @@ def all_zeros_probability(dc: Dqc1Circuit) -> float:
     return float(exact_distribution(dc).pmf[0])
 
 
-def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
-    # Philox is counter-based: the stream is a pure function of the key, and
-    # shot i always consumes words 2i and 2i+1, so shots are reproducible
-    # and order-independent.
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+def _shot_uniforms(gen: np.random.Generator, shots: int) -> np.ndarray:
+    # Philox is counter-based: shot i always consumes words 2i and 2i+1 of
+    # the seed's stream, and each call goes on where the last one stopped,
+    # so a run drawn a chunk at a time draws the same shots as one call.
     return gen.random((shots, 2))
+
+
+def _lifted_cdf(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative weights of each row, the trailing plateau lifted to at
+    least 1: the rounding gap below 1 goes to the last outcome with weight,
+    so every uniform draws an outcome of nonzero weight."""
+    cdf = np.cumsum(np.maximum(weights, 0.0), axis=1, out=out)
+    np.copyto(cdf, np.maximum(cdf[:, -1:], 1.0), where=cdf == cdf[:, -1:])
+    return cdf
+
+
+def _search(table: np.ndarray, offsets: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Overwrite each shot's offset, where its cdf row starts in the
+    flattened table, by the number of entries of that row at most its
+    uniform: the index searchsorted(row, uniform, side="right") gives.  A
+    branch-free binary search; a row's last entry is at least 1, above
+    every uniform, so log2(width) steps find it."""
+    flat = table.reshape(-1)
+    pos = offsets.copy()
+    step = table.shape[1] >> 1
+    while step:
+        np.add(pos, step, out=pos, where=flat[step - 1 :][pos] <= uniforms)
+        step >>= 1
+    return np.subtract(pos, offsets, out=offsets)
+
+
+def _draws(uniforms: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each shot's mixed-register draw from its first uniform, and a copy
+    of its second uniform, which draws its outcome."""
+    draws = (uniforms[:, 0] * size).astype(np.int64)
+    np.clip(draws, 0, size - 1, out=draws)
+    return draws, uniforms[:, 1].copy()
+
+
+def _grouped_outcomes(
+    dc: Dqc1Circuit, ops: Sequence, gen: np.random.Generator, shots: int
+) -> np.ndarray:
+    """Outcomes of every shot at once: the shots grouped by draw, each
+    group searched in its draw's cdf row, 32 bytes per shot."""
+    size = 1 << len(dc.mixed_qubits)
+    draws, uniforms = _draws(_shot_uniforms(gen, shots), size)
+    counts = np.bincount(draws, minlength=size)
+    values = np.flatnonzero(counts)
+    ends = iter(np.cumsum(counts[values]).tolist())
+    # Narrow keys: numpy sorts 16-bit keys stably by radix, same order.
+    order = np.argsort(draws.astype(np.min_scalar_type(size - 1)), kind="stable")
+    uniforms = uniforms[order]  # grouped by draw, in shot order within a group
+    drawn, start = np.empty_like(draws), 0
+    starts = scatter_bits(values, dc.mixed_qubits, dc.total_qubits)
+    for block in _weight_rows(dc, ops, starts):
+        for row, end in zip(_lifted_cdf(block), ends):
+            drawn[start:end] = np.searchsorted(row, uniforms[start:end], side="right")
+            start = end
+    outcomes = draws
+    outcomes[order] = drawn
+    return outcomes
+
+
+def _shot_chunks(dc: Dqc1Circuit, shots: int, seed: int) -> Iterator[np.ndarray]:
+    """The outcomes of shots 0, 1, ... in order, SHOT_CHUNK shots at a time.
+    Each drawn start runs once, when first drawn, and its cdf row stays in a
+    table of min(2^mixed, shots) rows, 2^k entries each.  Where that table
+    would outweigh grouping every shot by draw (32 bytes a shot, so only
+    from k = 3), the shots are grouped instead and come as one chunk."""
+    if shots < 1:
+        raise ContractError(f"need a positive shot count, got {shots}")
+    if not 0 <= seed < 1 << 128:
+        raise ContractError(f"seed must lie in [0, 2^128), got {seed}")
+    m, k = dc.total_qubits, len(dc.measured)
+    _check_width(m)
+    if shots > SHOTS_CAP:
+        raise ResourceError(f"{shots} shots exceed the shot cap of {SHOTS_CAP}")
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    chunks = (min(SHOT_CHUNK, shots - i) for i in range(0, shots, SHOT_CHUNK))
+    if dc.postselect:
+        # Every measured qubit may be postselected: then pmf is [1.0].
+        _, select = selector(dc.measured, dc.postselect)
+        pmf, _ = select(_passing_weights(dc, dc.postselect))
+        cdf = _lifted_cdf(pmf[None])[0]
+        # The outcomes that match, in the order of the pmf's entries.
+        fixed = {dc.measured.index(q): b for q, b in dc.postselect.items()}
+        matching = np.flatnonzero(_reading(np.arange(1 << k), fixed, k))
+        for n in chunks:
+            yield matching[np.searchsorted(cdf, _shot_uniforms(gen, n)[:, 1], side="right")]
+        return
+    size = 1 << len(dc.mixed_qubits)
+    ops = compile_circuit(dc.gates, m)
+    rows = min(size, shots)
+    if rows << k > 4 * shots:
+        yield _grouped_outcomes(dc, ops, gen, shots)
+        return
+    table = np.empty((rows, 1 << k))
+    offsets = np.full(size, -1)  # where each draw's row starts in the flat table
+    filled = 0
+    for n in chunks:
+        draws, uniforms = _draws(_shot_uniforms(gen, n), size)
+        fresh = np.zeros(size, dtype=bool)
+        fresh[draws] = True
+        fresh = np.flatnonzero(fresh & (offsets < 0))
+        if len(fresh):
+            offsets[fresh] = np.arange(filled, filled + len(fresh)) << k
+            starts = scatter_bits(fresh, dc.mixed_qubits, m)
+            for block in _weight_rows(dc, ops, starts):
+                _lifted_cdf(block, out=table[filled : filled + len(block)])
+                filled += len(block)
+        np.take(offsets, draws, out=draws)  # each shot's row, in place of its draw
+        yield _search(table, draws, uniforms)
+
+
+def _shot_counts(dc: Dqc1Circuit, shots: int, seed: int) -> np.ndarray:
+    """How many of sample(dc, shots, seed)'s shots draw each outcome,
+    counted a chunk at a time, with no array of every shot."""
+    counts = np.zeros(1 << len(dc.measured), dtype=np.int64)
+    for chunk in _shot_chunks(dc, shots, seed):
+        counts += np.bincount(chunk, minlength=len(counts))
+    return counts
 
 
 def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
@@ -275,52 +399,19 @@ def sample(dc: Dqc1Circuit, shots: int, seed: int) -> ShotRecord:
 
     Without postselection each shot draws a mixed-register basis state,
     runs it through the compiled pure-state ops of every gate and draws
-    the outcome; identical basis draws share one simulation, and the
-    distinct draws run in blocks.  With postselection baked into the
-    circuit, shots are drawn from the exact conditional distribution of the
-    free measured qubits and keep their full-length bitstrings, the forced
-    bits set on every shot.  More than EXACT_CAP qubits or SHOTS_CAP shots
-    raise ResourceError first.
+    the outcome; each distinct draw runs once, and the distinct draws run
+    in blocks.  With postselection baked into the circuit, shots are drawn
+    from the exact conditional distribution of the free measured qubits
+    and keep their full-length bitstrings, the forced bits set on every
+    shot.  More than EXACT_CAP qubits or SHOTS_CAP shots raise
+    ResourceError first.
     """
-    if shots < 1:
-        raise ContractError(f"need a positive shot count, got {shots}")
-    if not 0 <= seed < 1 << 128:
-        raise ContractError(f"seed must lie in [0, 2^128), got {seed}")
-    _check_width(dc.total_qubits)
-    if shots > SHOTS_CAP:
-        raise ResourceError(f"{shots} shots exceed the shot cap of {SHOTS_CAP}")
-    k = len(dc.measured)
-    uniforms = _shot_uniforms(seed, shots)
-    if dc.postselect:
-        # Every measured qubit may be postselected: then pmf is [1.0].
-        _, select = selector(dc.measured, dc.postselect)
-        pmf, _ = select(_passing_weights(dc, dc.postselect))
-        cdf = np.cumsum(pmf)
-        cdf[cdf == cdf[-1]] = max(cdf[-1], 1.0)  # the gap goes to the last outcome with weight
-        # The outcomes that match, in the order of the pmf's entries.
-        fixed = {dc.measured.index(q): b for q, b in dc.postselect.items()}
-        matching = np.flatnonzero(_reading(np.arange(1 << k), fixed, k))
-        outcomes = matching[np.searchsorted(cdf, uniforms[:, 1], side="right")]
-    else:
-        size = 1 << len(dc.mixed_qubits)
-        draws = (uniforms[:, 0] * size).astype(np.int64)
-        np.clip(draws, 0, size - 1, out=draws)
-        uniforms = uniforms[:, 1].copy()  # frees room for the blocks
-        counts = np.bincount(draws, minlength=size)
-        values = np.flatnonzero(counts)
-        ends = iter(np.cumsum(counts[values]).tolist())
-        # Narrow keys: numpy sorts 16-bit keys stably by radix, same order.
-        order = np.argsort(draws.astype(np.min_scalar_type(size - 1)), kind="stable")
-        uniforms = uniforms[order]  # grouped by draw, in shot order within a group
-        drawn, start = np.empty_like(draws), 0
-        starts = scatter_bits(values, dc.mixed_qubits, dc.total_qubits)
-        for block in _weight_rows(dc, dc.gates, starts):
-            # Each row's cumsum adds in the order a lone row's does.
-            cdf = np.cumsum(np.maximum(block, 0.0), axis=1)
-            np.copyto(cdf, np.maximum(cdf[:, -1:], 1.0), where=cdf == cdf[:, -1:])
-            for row, end in zip(cdf, ends):
-                drawn[start:end] = np.searchsorted(row, uniforms[start:end], side="right")
-                start = end
-        outcomes = draws
-        outcomes[order] = drawn
+    chunks = _shot_chunks(dc, shots, seed)
+    head = next(chunks)  # every shot, when one chunk or the grouping holds them
+    if len(head) == shots:
+        return ShotRecord(dc.measured, head)
+    outcomes = np.empty(shots, dtype=np.int64)
+    outcomes[:SHOT_CHUNK] = head
+    for start, chunk in zip(range(SHOT_CHUNK, shots, SHOT_CHUNK), chunks):
+        outcomes[start : start + len(chunk)] = chunk
     return ShotRecord(dc.measured, outcomes)

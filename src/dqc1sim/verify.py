@@ -32,11 +32,11 @@ from .circuits import (
 )
 from .distributions import OutcomeDistribution
 from .engine import (
+    _shot_counts,
     all_zeros_probability,
     conditional_distribution,
     density_distribution,
     exact_distribution,
-    sample,
 )
 from .errors import ContractError
 from .gadgets import (
@@ -157,7 +157,7 @@ def check_sampler_bands(seed: int = 23, shots: int = 20000, trials: int = 4) -> 
         m = int(rng.integers(2, 6))
         dc = random_dqc1(rng, m, int(rng.integers(3, 10)), measured_count=min(m, 3))
         p = exact_distribution(dc).pmf
-        counts = np.bincount(sample(dc, shots, seed=1000 + i).outcomes, minlength=p.size)
+        counts = _shot_counts(dc, shots, seed=1000 + i)
         band = 5.0 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots) + 1e-9
         worst = max(worst, float(np.max(np.abs(counts / shots - p) / band)))
     return _result("sampler-binomial-bands", worst, 1.0, f"{shots} shots, 5 sigma")

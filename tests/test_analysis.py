@@ -71,6 +71,21 @@ def test_estimate_trace_stderr_formula():
     assert est.stderr == pytest.approx(want, rel=1e-12)
 
 
+def test_estimate_trace_peak_memory_does_not_grow_with_shots():
+    # Shots are drawn and counted a chunk at a time, so the peak at 2^22
+    # shots holds one chunk's arrays, not 32 bytes a shot (128 MiB).
+    u = random_circuit(np.random.default_rng(5), 9, 30)
+    estimate_trace(u, shots=1000, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_trace(u, shots=1 << 22, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 # ---------------------------------------------------------------------------
 # block norm identity
 
@@ -311,10 +326,11 @@ def test_report_incomparable_in_the_joint_only():
     _assert_same_report(p, q)
 
 
-def test_report_peak_memory_at_k10():
-    # One chunk of REPORT_CHUNK entries and its index; the subset tables
-    # and the 1,023 keys come on top.
-    p, q = _random_pair(np.random.default_rng(3), 10, shuffle=True)
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_report_peak_memory_at_k10(shuffle):
+    # The peak holds the kept marginals of two subset sizes and the complex
+    # gather buffer: 809 KiB with q's qubits shuffled, 907 KiB in p's order.
+    p, q = _random_pair(np.random.default_rng(3), 10, shuffle=shuffle)
     multiplicative_error_report(p, q)
     tracemalloc.start()
     try:

@@ -472,6 +472,18 @@ def test_compile_file_ends_in_one_newline(capsys, tmp_path):
     parse_circuit(text)
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_compile_unwritable_out_exits_2(capsys, tmp_path, where):
+    pat_file, _ = _pattern_file(tmp_path)
+    out_file = str(tmp_path / "absent" / "c.json") if where == "missing-directory" else str(tmp_path)
+    code, out, err = _run(
+        capsys, ["compile", "--pattern", pat_file, "--mode", "three", "--out", out_file]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {out_file}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "k",
     [REPORT_CAP + 1, EXACT_CAP + 1],
@@ -491,7 +503,7 @@ def test_memory_error_exits_3(capsys, monkeypatch, coin_file):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 TiB")
 
-    monkeypatch.setattr("dqc1sim.cli.sample", exhausted)
+    monkeypatch.setattr("dqc1sim.cli._shot_counts", exhausted)
     code, out, err = _run(capsys, ["run", "--circuit", coin_file])
     assert code == 3
     assert out == ""
@@ -502,7 +514,7 @@ def test_unexpected_exception_exits_5_in_one_line(capsys, monkeypatch, coin_file
     def broken(*args, **kwargs):
         raise RuntimeError("kernel state lost\nsecond line")
 
-    monkeypatch.setattr("dqc1sim.cli.sample", broken)
+    monkeypatch.setattr("dqc1sim.cli._shot_counts", broken)
     code, out, err = _run(capsys, ["run", "--circuit", coin_file])
     assert code == 5
     assert out == ""

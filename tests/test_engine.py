@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
@@ -28,6 +29,7 @@ from dqc1sim.cli import main
 from dqc1sim.engine import (
     _cut,
     _passing,
+    _shot_counts,
     _starts,
     _summed_weights,
     all_zeros_probability,
@@ -44,7 +46,13 @@ from dqc1sim.errors import (
     ResourceError,
     ValidationError,
 )
-from dqc1sim.gadgets import compile_n_plus_1, compile_three, controlled_gates, pattern_from_rotations
+from dqc1sim.gadgets import (
+    build_trace_circuit,
+    compile_n_plus_1,
+    compile_three,
+    controlled_gates,
+    pattern_from_rotations,
+)
 from dqc1sim.qstate import compile_circuit
 from dqc1sim.randcirc import random_circuit, random_dqc1, random_unitary
 
@@ -208,6 +216,80 @@ def test_sample_prefix_stability():
     short = sample(dc, 100, seed=77)
     long = sample(dc, 1000, seed=77)
     assert np.array_equal(long.outcomes[:100], short.outcomes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([2, 3, 4096]),
+    postselect=st.booleans(),
+    shots=st.integers(1, 9000),
+)
+def test_shot_chunks_keep_every_shot(seed, chunk, postselect, shots):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    dc = random_dqc1(rng, m, 12, measured_count=int(rng.integers(1, m + 1)))
+    if postselect:
+        ps = {dc.measured[0]: int(rng.integers(2))}
+        dc = Dqc1Circuit(dc.circuit, dc.clean_qubits, dc.measured, postselect=ps)
+    try:
+        whole = sample(dc, shots, seed=seed)
+    except PostselectionImpossibleError:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dqc1sim.engine, "SHOT_CHUNK", chunk)
+        chunked = sample(dc, shots, seed=seed)
+        counts = _shot_counts(dc, shots, seed=seed)
+    assert chunked.outcomes.tobytes() == whole.outcomes.tobytes()
+    assert chunked.counts() == whole.counts()
+    assert counts.tolist() == np.bincount(whole.outcomes, minlength=len(counts)).tolist()
+
+
+def test_grouped_and_table_draws_agree_on_a_prefix(monkeypatch):
+    # k = 3 on 8 mixed wires: a table of 256 rows of 8 entries outweighs
+    # grouping 100 shots, not 4096, so the two runs take the two paths.
+    u = random_circuit(np.random.default_rng(8), 9, 40)
+    dc = Dqc1Circuit(u, (0,), (0, 4, 8))
+    grouped = []
+    group = dqc1sim.engine._grouped_outcomes
+    monkeypatch.setattr(
+        dqc1sim.engine, "_grouped_outcomes", lambda *a: grouped.append(1) or group(*a)
+    )
+    short = sample(dc, 100, seed=6).outcomes
+    assert grouped == [1]
+    long = sample(dc, 4096, seed=6).outcomes
+    assert grouped == [1]
+    assert np.array_equal(long[:100], short)
+
+
+def test_each_drawn_start_runs_once_over_many_chunks(monkeypatch):
+    # 100 chunks over 4 starts: later chunks draw no new start, so they
+    # neither compile nor run a pure state.
+    monkeypatch.setattr(dqc1sim.engine, "SHOT_CHUNK", 10)
+    compiled = []
+    monkeypatch.setattr(
+        dqc1sim.engine, "compile_circuit", lambda *a: compiled.append(1) or compile_circuit(*a)
+    )
+    rows = _pure_run_count(monkeypatch)
+    dc = _plain(3, (h(0), cnot(0, 1), h(2)), measured=(0,))
+    sample(dc, 1000, seed=2)
+    assert compiled == [1]
+    assert sum(rows) == 4
+
+
+def test_sample_peak_memory_is_its_record():
+    # 8 bytes a shot for the outcomes, one chunk's arrays on top.
+    dc = build_trace_circuit(random_circuit(np.random.default_rng(4), 9, 30), "real")
+    shots = 1 << 20
+    sample(dc, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample(dc, shots, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * shots + (2 << 20)
 
 
 def test_sample_binomial_concentration():

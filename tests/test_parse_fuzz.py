@@ -8,11 +8,12 @@ Every parser must then either succeed or raise a Dqc1Error subclass.
 Only the parsers run, so no size read from a mutated document is ever
 allocated.
 
-Mutated circuit documents and --postselect strings also run through the
-whole CLI, `exact` and `run`, with EXACT_CAP lowered so that no mutated
-width runs long, and mutated distribution documents through
-`check-error`: each call must succeed or exit 2, 3 or 4 with at most one
-line on stderr and no traceback.
+Mutated documents also run through the whole CLI, with EXACT_CAP lowered
+so that no mutated width runs long: circuits and --postselect strings
+through `exact` and `run`, unitaries through `trace`, patterns through
+`compile` and distributions through `check-error`.  Each call must
+succeed or exit 2, 3 or 4 with at most one line on stderr, no traceback,
+and output on stdout only when it succeeds.
 """
 
 import contextlib
@@ -168,27 +169,51 @@ def _mutated_postselect(draw, text: str = "0=1, 3=0"):
     return "".join(pieces)
 
 
-_CIRCUIT_TEXT = DOCUMENTS["circuit"][1]
+def _assert_clean_exit(argv, files):
+    """Write `files` into a fresh directory, run main(argv) with every
+    argument that starts with "tmp/" moved into it, and check the exit."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dqc1sim.engine, "EXACT_CAP", 8)
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a[4:]) if a.startswith("tmp/") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
+
+
+def _document(kind):
+    text = DOCUMENTS[kind][1]
+    return st.just(text) | _mutated(text)
 
 
 @given(
-    circuit=st.just(_CIRCUIT_TEXT) | _mutated(_CIRCUIT_TEXT),
+    circuit=_document("circuit"),
     command=st.sampled_from([["run", "--shots", "16"], ["exact"]])
     | _mutated_postselect().map(lambda text: ["exact", f"--postselect={text}"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_cli_exits_cleanly_on_mutated_input(circuit, command):
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dqc1sim.engine, "EXACT_CAP", 8)
-        path = os.path.join(tmp, "circuit.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(circuit)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command[0], "--circuit", path] + command[1:])
-    assert code in (0, 2, 3, 4), err.getvalue()
-    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-    assert (code == 0) == (out.getvalue() != "")
+    argv = [command[0], "--circuit", "tmp/circuit.json"] + command[1:]
+    _assert_clean_exit(argv, {"circuit.json": circuit})
+
+
+@given(unitary=_document("unitary"), part=st.sampled_from(["real", "imaginary"]))
+@settings(max_examples=100, deadline=None)
+def test_trace_exits_cleanly_on_mutated_input(unitary, part):
+    argv = ["trace", "--unitary", "tmp/unitary.json", "--part", part, "--shots", "64"]
+    _assert_clean_exit(argv, {"unitary.json": unitary})
+
+
+@given(pattern=_document("pattern"), mode=st.sampled_from(["three", "n1"]))
+@settings(max_examples=100, deadline=None)
+def test_compile_exits_cleanly_on_mutated_input(pattern, mode):
+    argv = ["compile", "--pattern", "tmp/pattern.json", "--mode", mode, "--out", "tmp/out.json"]
+    _assert_clean_exit(argv, {"pattern.json": pattern})
 
 
 # Two valid distributions over the same qubits, listed in two orders.
@@ -205,14 +230,4 @@ _DISTRIBUTIONS = st.sampled_from(_DISTRIBUTION_TEXTS)
 )
 @settings(max_examples=150, deadline=None)
 def test_check_error_exits_cleanly_on_mutated_input(p, q):
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, "p.json"), os.path.join(tmp, "q.json")]
-        for path, text in zip(paths, (p, q)):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check-error"] + paths)
-    assert code in (0, 2, 3, 4), err.getvalue()
-    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-    assert (code == 0) == (out.getvalue() != "")
+    _assert_clean_exit(["check-error", "tmp/p.json", "tmp/q.json"], {"p.json": p, "q.json": q})
