@@ -17,6 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from .bits import scatter_bits
 from .config import DENSITY_CAP, UNITARITY_TOL
 from .errors import (
     ContractError,
@@ -427,13 +428,9 @@ def _embed(small: np.ndarray, wires: Sequence[int], num_qubits: int) -> np.ndarr
     Works for any matrix, not only unitaries, so projectors embed too.
     """
     m = num_qubits
-
-    def spread(qs):  # the full index of each local index over the wires qs
-        loc = np.arange(1 << len(qs), dtype=np.int64)
-        bits = [((loc >> (len(qs) - 1 - i)) & 1) << (m - 1 - q) for i, q in enumerate(qs)]
-        return sum(bits, np.zeros_like(loc))
-
-    base, offs = spread([q for q in range(m) if q not in wires]), spread(wires)
+    rest = [q for q in range(m) if q not in wires]
+    base = scatter_bits(np.arange(1 << len(rest)), rest, m)
+    offs = scatter_bits(np.arange(1 << len(wires)), wires, m)
     full = np.zeros((1 << m, 1 << m), dtype=complex)
     full[(base[:, None] + offs)[:, :, None], (base[:, None] + offs)[:, None, :]] = small
     return full
@@ -743,6 +740,8 @@ def parse_circuit(text: str) -> Dqc1Circuit:
             q = _index_field(key, f"postselect key {key!r} is not a qubit index", "$.postselect")
             if type(bit) is not int or bit not in (0, 1):
                 raise ParseError(f"postselect bit for qubit {key} must be 0 or 1", "$.postselect")
+            if q in postselect:
+                raise ParseError(f"qubit {q} assigned twice", "$.postselect")
             postselect[q] = bit
     return Dqc1Circuit(Circuit(total, gates), clean, measured, postselect)
 

@@ -7,7 +7,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bits import bitstring
+from .bits import bitstring, fold
 from .config import PROB_SUM_TOL, ZERO_PROB_TOL
 from .errors import ContractError, PostselectionImpossibleError
 
@@ -98,13 +98,7 @@ class OutcomeDistribution:
             if q not in self.measured_qubits:
                 raise ContractError(f"qubit {q} is not measured in this distribution")
             kept.append(self.measured_qubits.index(q))
-        k = len(self.measured_qubits)
-        summed = [i for i in range(k) if i not in kept]
-        rows = np.ascontiguousarray(self.pmf.reshape((2,) * k).transpose(summed + kept))
-        # numpy adds the rows one after another, so each outcome's entries
-        # are summed in index order starting from 0.0, exactly as a running
-        # total over the joint's outcomes would, bit for bit.
-        pmf = rows.reshape(1 << len(summed), -1).sum(axis=0, initial=0.0)
+        pmf = fold(self.pmf, len(self.measured_qubits), kept)[0]
         return OutcomeDistribution(subset, pmf)
 
     def condition(self, assignments: Mapping[int, int]) -> tuple["OutcomeDistribution", float]:

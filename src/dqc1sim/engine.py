@@ -10,8 +10,9 @@ qstate.FUSE_WIRES wires, a block of BLOCK_AMPLITUDES amplitudes per pass
 of the ops.  A first op that is a controlled matrix is not run but
 written: a start it fires on takes the matrix column of its target bits,
 the bytes the op gives a basis state.  The oracle, full density-matrix
-conjugation (capped), is kept only to check the mixture route and never
-runs its ops.
+conjugation (capped), is kept only to check the mixture route and calls
+nothing in qstate; both fold their probabilities onto the measured
+qubits with the one bits.fold.
 
 The mixture route first cuts the circuit: a gate runs only once one of its
 wires has met a wire already reached from a clean wire, since every earlier
@@ -51,12 +52,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bits import bitstring, scatter_bits
+from .bits import bitstring, fold, scatter_bits
 from .circuits import Dqc1Circuit, Gate, _dense_dim, gate_matrix
 from .config import EXACT_CAP, HERMITICITY_TOL, SHOTS_CAP, TRACE_TOL
 from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
-from .qstate import _ControlledMatrix, _outcome_weights, compile_circuit
+from .qstate import _ControlledMatrix, compile_circuit
 
 # Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
 # states.  Larger blocks raise the sampler's peak memory, not its speed.
@@ -138,7 +139,7 @@ def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray)
     psi = amps.reshape((len(starts),) + (2,) * m)
     for op in ops:
         _apply_gate_kernel(op, psi)
-    return _outcome_weights(np.abs(amps) ** 2, m, dc.measured)
+    return fold(np.abs(amps) ** 2, m, dc.measured)
 
 
 # Gates that map every basis state to one basis state: a bit flip of
@@ -243,7 +244,7 @@ def density_distribution(dc: Dqc1Circuit) -> OutcomeDistribution:
         rho = full @ rho @ full.conj().T
     # Checked once for the whole run rather than after every gate.
     _check_density(rho)
-    weights = _outcome_weights(rho.diagonal().real, m, dc.measured)[0]
+    weights = fold(rho.diagonal().real, m, dc.measured)[0]
     return OutcomeDistribution(dc.measured, np.maximum(weights, 0.0))
 
 

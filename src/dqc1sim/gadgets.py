@@ -320,7 +320,10 @@ def parse_pattern(text: str) -> MbqcPattern:
     angles = {}
     for key, val in obj["angles"].items():
         message = f"bad angle entry {key!r}"
-        angles[_index_field(key, message, "$.angles")] = _number_field(val, message, "$.angles")
+        v = _index_field(key, message, "$.angles")
+        if v in angles:
+            raise ParseError(f"vertex {v} assigned twice", "$.angles")
+        angles[v] = _number_field(val, message, "$.angles")
     if not isinstance(obj["outputs"], list) or not all(
         type(v) is int for v in obj["outputs"]
     ):

@@ -18,10 +18,11 @@ GraphProjX, a projector flip.  An op rounds each state of a batch as if
 alone.  A controlled matrix applied to a basis state returns the column of
 its matrix exactly, so the engine writes a run's first op as those columns
 and its first block gives the same bytes as its gates one by one.
-States are plain complex arrays: the engine's density route conjugates
-by the dense oracle's full gate matrices instead, and this module
-imports none of them, so the two routes stay independent and can check
-each other.
+States are plain complex arrays, and this module holds the ops only: the
+engine folds each run's probabilities onto the outcomes with bits.fold.
+The engine's density route conjugates by the dense oracle's full gate
+matrices instead and calls nothing here, and this module imports none of
+them, so the two routes stay independent and can check each other.
 
 Bit convention: qubit 0 is the most significant bit of a basis index and
 the leftmost character of every outcome bitstring.
@@ -34,7 +35,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bits import gather_bits
 from .circuits import FIXED_1Q, Gate, rz_matrix
 from .errors import ContractError
 
@@ -217,13 +217,3 @@ def compile_circuit(gates: Sequence[Gate], m: int) -> list[_ControlledMatrix | _
     layouts: dict = {}
     blocks = fuse_blocks(gates)
     return [compile_gate(b[0], m) if len(b) == 1 else _block_op(b, m, layouts) for b in blocks]
-
-
-def _outcome_weights(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray:
-    """Fold rows of 2^m probabilities onto the listed qubits, into rows of
-    2^k weights; one bincount adds each row in index order, as if alone."""
-    p = p.reshape(-1, 1 << m)
-    k = len(qubits)
-    idx = gather_bits(np.arange(1 << m, dtype=np.int64), qubits, m)
-    keys = (np.arange(len(p), dtype=np.int64)[:, None] << k) + idx
-    return np.bincount(keys.ravel(), weights=p.ravel(), minlength=len(p) << k).reshape(-1, 1 << k)

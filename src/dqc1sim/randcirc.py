@@ -36,22 +36,17 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_graph(rng: np.random.Generator, num_vertices: int, edge_prob: float = 0.5) -> GraphSpec:
+def random_graph(rng: np.random.Generator, num_vertices: int) -> GraphSpec:
     edges = [
         (a, b)
         for a in range(num_vertices)
         for b in range(a + 1, num_vertices)
-        if rng.random() < edge_prob
+        if rng.random() < 0.5
     ]
     return GraphSpec(num_vertices, tuple(edges))
 
 
-def random_circuit(
-    rng: np.random.Generator,
-    total_qubits: int,
-    n_gates: int,
-    allow_composites: bool = True,
-) -> Circuit:
+def random_circuit(rng: np.random.Generator, total_qubits: int, n_gates: int) -> Circuit:
     """Random circuit drawing from the whole gate set.
 
     Composite draws (MCX, CU, GraphProjX) are kept small and rare so the
@@ -70,7 +65,7 @@ def random_circuit(
         elif roll < 0.85 and m >= 2:
             a, b = rng.choice(m, size=2, replace=False)
             gates.append(cz(int(a), int(b)) if rng.random() < 0.5 else cnot(int(a), int(b)))
-        elif allow_composites and m >= 2:
+        elif m >= 2:
             pick = rng.random()
             if pick < 0.4:
                 k = int(rng.integers(1, min(3, m - 1) + 1))
@@ -99,9 +94,8 @@ def random_dqc1(
     n_gates: int,
     clean_count: int = 1,
     measured_count: int | None = None,
-    allow_composites: bool = True,
 ) -> Dqc1Circuit:
-    c = random_circuit(rng, total_qubits, n_gates, allow_composites)
+    c = random_circuit(rng, total_qubits, n_gates)
     clean = tuple(range(clean_count))
     if measured_count is None:
         measured_count = int(rng.integers(1, total_qubits + 1))

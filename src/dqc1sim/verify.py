@@ -78,8 +78,8 @@ def _all_graphs(num_vertices: int):
 # ---------------------------------------------------------------------------
 # qstate suite
 
-def check_gate_unitarity(seed: int = 7) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_gate_unitarity() -> CheckResult:
+    rng = np.random.default_rng(7)
     worst = 0.0
     for m in (2, 3, 4):
         for g in random_circuit(rng, m, 40).gates:
@@ -98,9 +98,9 @@ def _run(gates: Sequence[Gate], m: int, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_kernel_matches_matrix(seed: int = 11) -> CheckResult:
+def check_kernel_matches_matrix() -> CheckResult:
     # The fused ops against the dense oracle, on a batch of random states.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
     for m in (2, 3, 4, 5):
         states = random_unitary(rng, 1 << m)[:, :4].T
@@ -110,9 +110,9 @@ def check_kernel_matches_matrix(seed: int = 11) -> CheckResult:
     return _result("kernel-vs-dense-oracle", worst, 1e-10)
 
 
-def check_inverse_roundtrip(seed: int = 13) -> CheckResult:
+def check_inverse_roundtrip() -> CheckResult:
     # The gates, then their inverses in reverse order.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     worst = 0.0
     for m in (3, 4):
         states = random_unitary(rng, 1 << m)[:, :4].T
@@ -122,10 +122,10 @@ def check_inverse_roundtrip(seed: int = 13) -> CheckResult:
     return _result("apply-inverse-roundtrip", worst, 1e-10)
 
 
-def check_density_mixture_agreement(seed: int = 17, trials: int = 12) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_density_mixture_agreement() -> CheckResult:
+    rng = np.random.default_rng(17)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(12):
         m = int(rng.integers(2, 7))
         dc = random_dqc1(rng, m, int(rng.integers(3, 12)))
         tv = density_distribution(dc).total_variation(exact_distribution(dc))
@@ -133,11 +133,11 @@ def check_density_mixture_agreement(seed: int = 17, trials: int = 12) -> CheckRe
     return _result("density-vs-mixture-distribution", worst, 1e-10)
 
 
-def check_mixed_register_uniformity(seed: int = 19, trials: int = 8) -> CheckResult:
+def check_mixed_register_uniformity() -> CheckResult:
     # Circuits that never touch the clean qubit leave the mixed register uniform.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(19)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(8):
         m = int(rng.integers(3, 6))
         sub = random_circuit(rng, m - 1, int(rng.integers(3, 10)))
         gates = tuple(g.shifted(1) for g in sub.gates)
@@ -149,11 +149,12 @@ def check_mixed_register_uniformity(seed: int = 19, trials: int = 8) -> CheckRes
     return _result("mixed-register-uniformity", worst, 1e-10)
 
 
-def check_sampler_bands(seed: int = 23, shots: int = 20000, trials: int = 4) -> CheckResult:
+def check_sampler_bands() -> CheckResult:
     # Empirical frequencies inside 5-sigma binomial bands of exact probabilities.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
+    shots = 20000
     worst = 0.0
-    for i in range(trials):
+    for i in range(4):
         m = int(rng.integers(2, 6))
         dc = random_dqc1(rng, m, int(rng.integers(3, 10)), measured_count=min(m, 3))
         p = exact_distribution(dc).pmf
@@ -176,12 +177,12 @@ def check_cluster_signs() -> CheckResult:
     return _result("cluster-state-signs", worst, 1e-12)
 
 
-def check_w_matrix_identity(max_vertices: int = 4) -> CheckResult:
-    # Exhaustive over all graphs on up to max_vertices vertices: the gadget's
+def check_w_matrix_identity() -> CheckResult:
+    # Exhaustive over all graphs on up to 4 vertices: the gadget's
     # gate product equals flip-on-graph-component exactly, and equals the
     # single-gate projector form.
     worst = 0.0
-    for n in range(1, max_vertices + 1):
+    for n in range(1, 5):
         for g in _all_graphs(n):
             m = n + 1
             register = list(range(1, m))
@@ -220,20 +221,20 @@ def w_branch_stats(
     return _branch_stats(gates, graph.state_vector())
 
 
-def check_w_branch(max_vertices: int = 6) -> CheckResult:
+def check_w_branch() -> CheckResult:
     worst = 0.0
-    for n in range(2, max_vertices + 1):
+    for n in range(2, 7):
         g = GraphSpec(n, tuple((j, j + 1) for j in range(n - 1)))
         prob, fid = w_branch_stats(g)
         worst = max(worst, abs(prob - 0.5**n), abs(1.0 - fid))
     return _result("distillation-branch", worst, 1e-10)
 
 
-def check_w_prime_branch(max_vertices: int = 3) -> CheckResult:
+def check_w_prime_branch() -> CheckResult:
     # Postselecting the clean qubit pins ancilla |0> alongside the graph state,
     # with branch probability 2^-(n+1).
     worst = 0.0
-    for n in range(1, max_vertices + 1):
+    for n in range(1, 4):
         g = GraphSpec(n, tuple((j, j + 1) for j in range(n - 1)))
         gates = build_W_prime(g, 0, 1, list(range(2, n + 2)))
         target = np.kron(np.array([1.0, 0.0], dtype=complex), g.state_vector())
@@ -242,10 +243,10 @@ def check_w_prime_branch(max_vertices: int = 3) -> CheckResult:
     return _result("ancilla-distillation-branch", worst, 1e-10)
 
 
-def check_trace_contract(seed: int = 29, trials: int = 10) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_trace_contract() -> CheckResult:
+    rng = np.random.default_rng(29)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         n = int(rng.integers(1, 5))
         u = random_circuit(rng, n, int(rng.integers(2, 8)))
         tr = complex(np.trace(circuit_matrix(u)))
@@ -278,18 +279,18 @@ def _random_angle_lists(rng: np.random.Generator, count: int, max_len: int):
         yield [float(a) for a in rng.uniform(-np.pi, np.pi, size=length)]
 
 
-def check_reduction_full_measure(seed: int = 31, trials: int = 10) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_reduction_full_measure() -> CheckResult:
+    rng = np.random.default_rng(31)
     worst = 0.0
-    for angles in _random_angle_lists(rng, trials, 4):
+    for angles in _random_angle_lists(rng, 10, 4):
         worst = max(worst, reduction_conditional_tv(compile_n_plus_1(pattern_from_rotations(angles))))
     return _result("reduction-full-measure", worst, 1e-9)
 
 
-def check_reduction_three_measure(seed: int = 37, trials: int = 10) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_reduction_three_measure() -> CheckResult:
+    rng = np.random.default_rng(37)
     worst = 0.0
-    for angles in _random_angle_lists(rng, trials, 4):
+    for angles in _random_angle_lists(rng, 10, 4):
         red = compile_three(pattern_from_rotations(angles))
         if len(red.circuit.measured) != 3 or len(red.postselect) != 2:
             return _result("reduction-three-measure", 1.0, 1e-9, "wrong measured/postselect count")
@@ -297,10 +298,10 @@ def check_reduction_three_measure(seed: int = 37, trials: int = 10) -> CheckResu
     return _result("reduction-three-measure", worst, 1e-9)
 
 
-def check_compiler_agreement(seed: int = 41, trials: int = 8) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_compiler_agreement() -> CheckResult:
+    rng = np.random.default_rng(41)
     worst = 0.0
-    for angles in _random_angle_lists(rng, trials, 3):
+    for angles in _random_angle_lists(rng, 8, 3):
         pattern = pattern_from_rotations(angles)
         outs = []
         for red in (compile_n_plus_1(pattern), compile_three(pattern)):
@@ -313,13 +314,13 @@ def check_compiler_agreement(seed: int = 41, trials: int = 8) -> CheckResult:
     return _result("compiler-agreement", worst, 1e-10)
 
 
-def check_reduction_event_probability(seed: int = 43, trials: int = 8) -> CheckResult:
+def check_reduction_event_probability() -> CheckResult:
     # For a linear chain every aligned readout lands 1 with probability
     # exactly 1/2 inside the postselected branch, so the event probability
     # has a closed form to pin down.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(43)
     worst = 0.0
-    for angles in _random_angle_lists(rng, trials, 4):
+    for angles in _random_angle_lists(rng, 8, 4):
         n = len(angles) + 1
         event = reduction_event_probability(compile_n_plus_1(pattern_from_rotations(angles)))
         if event <= 0.0:
@@ -344,10 +345,10 @@ def _perturbed(rng: np.random.Generator, p: OutcomeDistribution) -> OutcomeDistr
     return OutcomeDistribution(p.measured_qubits, raw)
 
 
-def check_error_identity(seed: int = 47, trials: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_error_identity() -> CheckResult:
+    rng = np.random.default_rng(47)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         p = _random_joint(rng, (0, 1))
         c = minimal_multiplicative_error(p, p)
         worst = max(worst, abs(c - 1.0))
@@ -361,10 +362,10 @@ def check_error_two_point() -> CheckResult:
     return _result("error-two-point", abs(c - 1.25), 0.0, "0.5/0.4 pins c at 1.25")
 
 
-def check_marginal_monotonicity(seed: int = 53, trials: int = 25) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_marginal_monotonicity() -> CheckResult:
+    rng = np.random.default_rng(53)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(25):
         p = _random_joint(rng, (0, 1, 2))
         q = _perturbed(rng, p)
         report = multiplicative_error_report(p, q)
@@ -376,10 +377,10 @@ def check_marginal_monotonicity(seed: int = 53, trials: int = 25) -> CheckResult
     return _result("marginal-monotonicity", worst, 1e-12)
 
 
-def check_conditional_c2(seed: int = 59, trials: int = 50) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_conditional_c2() -> CheckResult:
+    rng = np.random.default_rng(59)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         p = _random_joint(rng, (0, 1))
         q = _perturbed(rng, p)
         c = minimal_multiplicative_error(p, q)
@@ -392,10 +393,10 @@ def check_conditional_c2(seed: int = 59, trials: int = 50) -> CheckResult:
     return _result("conditional-c2-bounds", max(worst, 0.0), 1.0, "ratios inside the c^2 band")
 
 
-def check_shor_jordan(seed: int = 61, trials: int = 12) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_shor_jordan() -> CheckResult:
+    rng = np.random.default_rng(61)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(12):
         k = int(rng.integers(1, 3))
         n = int(rng.integers(1, 5))
         u = random_circuit(rng, k + n, int(rng.integers(3, 10)))

@@ -426,6 +426,19 @@ def test_check_unitary_rejects_non_finite_entries(bad, size):
         check_unitary(mat)
 
 
+def test_parse_postselect_rejects_one_qubit_spelled_twice():
+    doc = {
+        "total_qubits": 2,
+        "clean_qubits": [0],
+        "measure": [0, 1],
+        "gates": [],
+        "postselect": {"1": 0, "01": 1},
+    }
+    with pytest.raises(ParseError) as exc:
+        parse_circuit(json.dumps(doc))
+    assert "$.postselect" in str(exc.value) and "qubit 1 assigned twice" in str(exc.value)
+
+
 def test_parse_postselect_rejects_non_ascii_digit_keys():
     doc = {
         "total_qubits": 3,

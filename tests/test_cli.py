@@ -128,7 +128,7 @@ def test_exact_flag_overrides_baked(capsys, tmp_path):
 
 
 def test_exact_bad_postselect_syntax_exits_2(capsys, coin_file):
-    for bad in ("0", "a=1", "0=2", "0=1,0=0", ","):
+    for bad in ("0", "a=1", "0=2", "0=1,0=0", "0=1,00=0", ","):
         code, out, _ = _run(capsys, ["exact", "--circuit", coin_file, "--postselect", bad])
         assert code == 2, bad
         assert out == ""
@@ -551,6 +551,18 @@ def test_exact_non_ascii_digit_postselect_exits_2(capsys, bell_file):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --postselect: ") and err.count("\n") == 1
+
+
+def test_exact_postselect_key_spelled_twice_in_the_file_exits_2(capsys, tmp_path):
+    # "1" and "01" name one qubit: exit 2, as --postselect 1=0,01=1 does,
+    # rather than keep the last.
+    doc = {"total_qubits": 2, "clean_qubits": [0], "measure": [0, 1], "gates": []}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({**doc, "postselect": {"1": 0, "01": 1}}))
+    code, out, err = _run(capsys, ["exact", "--circuit", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: $.postselect: qubit 1 assigned twice\n"
 
 
 def test_trace_has_no_density_cap_flag(tmp_path):

@@ -365,6 +365,13 @@ def test_pattern_parse_rejects_non_ascii_digit_angle_keys():
     assert "$.angles" in str(exc.value)
 
 
+def test_pattern_parse_rejects_one_vertex_spelled_twice():
+    doc = {"graph": {"n": 3, "edges": [[0, 1]]}, "angles": {"0": 0.1, "1": 0.2, "01": 2.5}, "outputs": [2]}
+    with pytest.raises(ParseError) as exc:
+        parse_pattern(json.dumps(doc))
+    assert "$.angles" in str(exc.value) and "vertex 1 assigned twice" in str(exc.value)
+
+
 def test_pattern_parse_rejects_non_finite_angles():
     doc = {"graph": {"n": 2, "edges": [[0, 1]]}, "angles": {"0": math.nan}, "outputs": [1]}
     with pytest.raises(ParseError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import dqc1sim.engine
 from dqc1sim import qstate
+from dqc1sim.bits import fold
 from dqc1sim.circuits import cnot, cu, cz, gate_matrix, graph_proj_x, h, mcx, rz, t, u1q, x
 from dqc1sim.circuits import Circuit, Dqc1Circuit, Gate, GraphSpec, check_unitary
 from dqc1sim.engine import (
@@ -20,7 +21,6 @@ from dqc1sim.errors import ContractError, ResourceError
 from dqc1sim.gadgets import build_trace_circuit, compile_n_plus_1, compile_three, pattern_from_rotations
 from dqc1sim.qstate import (
     FUSE_WIRES,
-    _outcome_weights,
     compile_circuit,
     compile_gate,
     fuse_blocks,
@@ -173,14 +173,14 @@ def test_evolve_density_cap(monkeypatch):
 
 def test_measure_probs_subset_and_order():
     p = np.abs(_run([h(0)], 2, _basis(2, 0))) ** 2
-    assert np.allclose(_outcome_weights(p, 2, (0,)), [[0.5, 0.5]])
-    assert np.allclose(_outcome_weights(p, 2, (1,)), [[1.0, 0.0]])
+    assert np.allclose(fold(p, 2, (0,)), [[0.5, 0.5]])
+    assert np.allclose(fold(p, 2, (1,)), [[1.0, 0.0]])
 
 
 def test_measure_probs_order_follows_listing():
     p = np.abs(_basis(2, 0b01, 0b10)) ** 2  # each row folds as if alone
-    assert np.array_equal(_outcome_weights(p, 2, (0, 1)), [[0, 1, 0, 0], [0, 0, 1, 0]])
-    assert np.array_equal(_outcome_weights(p, 2, (1, 0)), [[0, 0, 1, 0], [0, 1, 0, 0]])
+    assert np.array_equal(fold(p, 2, (0, 1)), [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert np.array_equal(fold(p, 2, (1, 0)), [[0, 0, 1, 0], [0, 1, 0, 0]])
 
 
 _EVERY_KIND = [
