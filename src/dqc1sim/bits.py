@@ -29,13 +29,13 @@ def scatter_bits(
 
 
 def fold(p: np.ndarray, m: int, qubits: Sequence[int]) -> np.ndarray:
-    """Sum rows of 2^m probabilities onto the listed qubits, into a (B, 2^k)
-    array; the first listed qubit is the most significant bit of an outcome.
-    The summed qubits lead, so numpy adds one slice after another and each
-    entry is the running total, from 0.0 in index order, of its row's
-    entries that read that outcome, bit for bit as if the row were alone."""
-    p = p.reshape((-1,) + (2,) * m)
-    summed = [1 + q for q in range(m) if q not in qubits]
-    rows = np.ascontiguousarray(p.transpose(summed + [0] + [1 + q for q in qubits]))
+    """Sum columns of 2^m probabilities onto the listed qubits, into a (B,
+    2^k) view; the first listed qubit is the most significant bit of an
+    outcome.  The summed qubits lead, so numpy adds one slice after another
+    and each entry is the running total, from 0.0 in index order, of its
+    column's entries that read that outcome, as if the column were alone."""
+    p = p.reshape((2,) * m + (-1,))
+    summed = [q for q in range(m) if q not in qubits]
+    rows = np.ascontiguousarray(p.transpose(summed + list(qubits) + [m]))
     sums = rows.reshape(1 << len(summed), -1).sum(axis=0, initial=0.0)
-    return sums.reshape(-1, 1 << len(qubits))
+    return sums.reshape(1 << len(qubits), -1).T

@@ -6,8 +6,8 @@ and conditional_distribution take the mixture route, density_distribution
 is the dense oracle, and sample draws shots.  The mixture route averages
 pure runs over the mixed-register basis states, each run through the
 circuit compiled once into ops, one per fused block of at most
-qstate.FUSE_WIRES wires, a block of BLOCK_AMPLITUDES amplitudes per pass
-of the ops.  A first op that is a controlled matrix is not run but
+qstate.FUSE_WIRES wires, a block of BLOCK_AMPLITUDES amplitudes (a start
+per column) per pass of the ops.  A first controlled matrix is not run but
 written: a start it fires on takes the matrix column of its target bits,
 the bytes the op gives a basis state.  The oracle, full density-matrix
 conjugation (capped), is kept only to check the mixture route and calls
@@ -61,6 +61,7 @@ from .qstate import _ControlledMatrix, compile_circuit
 
 # Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
 # states.  Larger blocks raise the sampler's peak memory, not its speed.
+# One call's blocks share two buffers; fresh ones faulted exact at m = 12 from 0.19 to 0.35 s.
 BLOCK_AMPLITUDES = 1 << 14
 
 # Shots per chunk of a sampling run (512 KiB of uniforms).  At 2^14 a trace
@@ -114,31 +115,32 @@ def _check_density(rho: np.ndarray) -> None:
         raise ContractError(f"trace {tr} is off unity beyond {TRACE_TOL:.1e}")
 
 
-def _apply_gate_kernel(op, psi: np.ndarray) -> None:
-    """Run one compiled op in place.  Kept as a named step so that a tracer
-    can count and time the engine's kernel calls."""
-    op(psi)
+def _apply_gate_kernel(op, psi: np.ndarray, out: np.ndarray) -> None:
+    """Run one compiled op in place, its product in `out`.  Kept as a named
+    step so that a tracer can count and time the engine's kernel calls."""
+    op(psi, out)
 
 
-def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> np.ndarray:
+def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray, buf) -> np.ndarray:
     """Outcome weights of pure runs of the compiled ops, one row per basis
-    state in `starts`; each row is bit-identical to a run of its state alone.
-    A first controlled matrix is not run: a start it fires on takes the
-    matrix column of its target bits, which is what the op makes of a
-    basis state, and any other start keeps its basis vector."""
+    state in `starts`, each run in a column of buf[0], bit-identical to a
+    run alone; buf[1] takes the products.  A first controlled matrix is not
+    run: a start it fires on takes the matrix column of its target bits,
+    what the op makes of a basis state; any other start keeps its own."""
     m = dc.total_qubits
-    amps = np.zeros((len(starts), 1 << m), dtype=complex)
-    amps[np.arange(len(starts)), starts] = 1.0  # row r: basis state starts[r]
+    amps = buf[0, : len(starts) << m].reshape(1 << m, -1)
+    amps[...] = 0.0
+    amps[starts, np.arange(len(starts))] = 1.0  # column c: basis state starts[c]
     if ops and isinstance(ops[0], _ControlledMatrix):
         first, ops = ops[0], ops[1:]
         on = np.flatnonzero(_reading(starts, first.fire, m))
         spread = scatter_bits(np.arange(len(first.mat)), first.targets, m)
         own = starts[on, None] & spread[-1]  # each firing start's target bits
         at = (starts[on, None] ^ own) | spread
-        amps[on[:, None], at] = first.mat.T[(own == spread).argmax(1)]
-    psi = amps.reshape((len(starts),) + (2,) * m)
+        amps[at, on[:, None]] = first.mat.T[(own == spread).argmax(1)]
+    psi = amps.reshape((2,) * m + (len(starts),))
     for op in ops:
-        _apply_gate_kernel(op, psi)
+        _apply_gate_kernel(op, psi, buf[1])
     return fold(np.abs(amps) ** 2, m, dc.measured)
 
 
@@ -200,8 +202,9 @@ def _weight_rows(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> Iterator
     """Outcome weights of pure runs of the compiled ops, one row per start,
     yielded a block of BLOCK_AMPLITUDES amplitudes at a time."""
     rows = max(1, BLOCK_AMPLITUDES >> dc.total_qubits)
+    buf = np.empty((2, min(rows, len(starts)) << dc.total_qubits), dtype=complex)
     for i in range(0, len(starts), rows):
-        yield _mixture_outcome_weights(dc, ops, starts[i : i + rows])
+        yield _mixture_outcome_weights(dc, ops, starts[i : i + rows], buf)
 
 
 def _summed_weights(dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray) -> np.ndarray:

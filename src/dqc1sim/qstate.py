@@ -1,23 +1,24 @@
 """Compiled pure-state ops.
 
 A gate list compiles once into ops that run in place on a batch of
-amplitude vectors, each viewed as a rank-m tensor of 2s, so no 2^m x 2^m
-matrix is ever built.  compile_circuit groups the gates into blocks of at
-most FUSE_WIRES wires, one op per block: the block's matrix comes from
-running, on its 2^k basis states, each gate's product exactly as a lone op
-of that gate would, but with no op object per gate.  Each distinct layout
-of a product (firing bits, targets, width) is worked out once per
-compile_circuit call, in a memo the call drops, so nothing outlives it.  A
-wire on which the block acts only while it reads 1 is peeled off as a
-control, so a block of gates under the clean qubit touches half of each
-state (in a trace circuit that holds for the gates that unfold a graph
-projector too).
+amplitude vectors, the columns of a (2^m, B) array seen as (2,)*m + (B,),
+so no 2^m x 2^m matrix is ever built.  compile_circuit groups the gates
+into blocks of at most FUSE_WIRES wires, one op per block: the block's
+matrix comes from running, on its 2^k basis states, each gate's product
+exactly as a lone op of that gate would, but with no op object per gate.
+Each distinct layout of a product (firing bits, targets, width) is worked
+out once per compile_circuit call, in a memo the call drops, so nothing
+outlives it.  A wire on which the block acts only while it reads 1 is
+peeled off as a control, so a block of gates under the clean qubit touches
+half of each state (in a trace circuit that holds for the gates that unfold
+a graph projector too).
 A lone or wider gate keeps its own op: a controlled matrix (CZ is Z on its
 second qubit under the first, CNOT and MCX are X under controls) or, for
-GraphProjX, a projector flip.  An op rounds each state of a batch as if
-alone.  A controlled matrix applied to a basis state returns the column of
-its matrix exactly, so the engine writes a run's first op as those columns
-and its first block gives the same bytes as its gates one by one.
+GraphProjX, a projector flip.  A matrix is one product over the batch, a
+flip goes state by state, and each state keeps a lone run's bytes (see
+_product).  A controlled matrix applied to a basis state returns the column
+of its matrix exactly, so the engine writes a run's first op as those
+columns and its first block gives the same bytes as its gates one by one.
 States are plain complex arrays, and this module holds the ops only: the
 engine folds each run's probabilities onto the outcomes with bits.fold.
 The engine's density route conjugates by the dense oracle's full gate
@@ -49,9 +50,9 @@ class _ControlledMatrix:
     the qubits `targets`, first one the most significant bit of a row of
     `mat`, where every qubit q of `fire` reads fire[q].
 
-    sel keeps the batch axis, fixes every control axis to its firing bit
-    and keeps the other axes whole, so psi[sel] is a view; fwd keeps the
-    batch axis first, then puts the target axes, then the rest in order.
+    sel fixes every control axis to its firing bit and keeps the other
+    axes whole, the batch axis last, so psi[sel] is a view; fwd puts the
+    target axes first, then the rest in order, the batch axis last.
     """
 
     sel: tuple
@@ -60,17 +61,26 @@ class _ControlledMatrix:
     fire: dict
     targets: tuple[int, ...]
 
-    def __call__(self, psi: np.ndarray) -> None:
-        _product(psi, self.sel, self.fwd, self.mat)
+    def __call__(self, psi: np.ndarray, out=None) -> None:
+        _product(psi, self.sel, self.fwd, self.mat, out)
 
 
-def _product(psi: np.ndarray, sel: tuple, fwd: tuple[int, ...], mat: np.ndarray) -> None:
-    """`mat` on the target axes of psi[sel].transpose(fwd), in place."""
-    view = psi[sel].transpose(fwd)
-    # One 2-D product per state, with a lone state's strides, so numpy
-    # takes the same BLAS or plain loop and rounds it as if alone.
-    stack = view.reshape(len(view), len(mat), -1)
-    view[...] = (mat @ stack).reshape(view.shape)
+def _product(psi: np.ndarray, sel: tuple, fwd: tuple, mat: np.ndarray, out=None) -> None:
+    """`mat` on the target axes of psi[sel].transpose(fwd), in place, as one
+    product over the batch, into `out` (flat, psi.size at least) if given.
+    OpenBLAS (SkylakeX, Prescott; Haswell only on small products) rounds a
+    column alike at any place among any multiple of 4 columns, so a state
+    of 4 or more keeps a lone run's bytes; a batch whose states have fewer,
+    a lone run's 1-3 column tail, runs each alone on a copy laid out so."""
+    view, states = psi[sel].transpose(fwd), psi.shape[-1]
+    if states > 1 and view.size < 4 * len(mat) * states:
+        for s in range(states):
+            state = np.ascontiguousarray(psi[..., s, None])
+            _product(state, sel, fwd, mat)
+            psi[..., s, None] = state
+    else:
+        prod = None if out is None else out[: view.size].reshape(len(mat), -1)
+        view[...] = np.matmul(mat, view.reshape(len(mat), -1), out=prod).reshape(view.shape)
 
 
 @dataclass(frozen=True)
@@ -78,18 +88,21 @@ class _GraphFlip:
     """Direct projector action of GraphProjX: split off the component along
     `vec` on the leading axes of state.transpose(fwd) and exchange it
     between the 0 and 1 branches of the next axis, the target.  State by
-    state, since tensordot's rounding depends on how many columns it gets."""
+    state, each on a copy laid out as if alone, since tensordot's rounding
+    depends on how many columns it gets and on their strides (`out` unused)."""
 
     fwd: tuple[int, ...]
     vec: np.ndarray
 
-    def __call__(self, psi: np.ndarray) -> None:
-        for state in psi:
+    def __call__(self, psi: np.ndarray, out=None) -> None:
+        for s in range(psi.shape[-1]):
+            state = np.ascontiguousarray(psi[..., s])
             view = state.transpose(self.fwd)
             block = view.reshape(len(self.vec), 2, -1)
             overlap = np.tensordot(self.vec.conj(), block, axes=(0, 0))  # shape (2, rest)
             proj = self.vec[:, None, None] * overlap[None, :, :]
             view[...] = (block - proj + proj[:, ::-1, :]).reshape(view.shape)
+            psi[..., s] = state
 
 
 def _wires_first(wires: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
@@ -104,8 +117,7 @@ def compile_gate(
     g: Gate, m: int, wire: Mapping[int, int] | None = None
 ) -> _ControlledMatrix | _GraphFlip:
     """The ready-to-run op for one gate on m-qubit states.  An op acts in
-    place on a batch of B amplitude vectors viewed as (B,) + (2,)*m, one
-    C-contiguous state per index of the first axis.
+    place on the columns of a C-contiguous (2^m, B) array seen as (2,)*m + (B,).
 
     `wire` maps each of the gate's qubits to the axis it acts on, as
     g.remapped(wire) would but without building a Gate; by default qubit q
@@ -148,9 +160,9 @@ def _layout(fire: dict, targets: Sequence[int], m: int, layouts: dict) -> tuple:
     in `fire` reads its bit, from the memo `layouts` or added to it."""
     key = (tuple(fire.items()), tuple(targets), m)
     if key not in layouts:
-        sel = (slice(None),) + tuple(fire.get(q, slice(None)) for q in range(m))
+        sel = tuple(fire.get(q, slice(None)) for q in range(m)) + (slice(None),)
         free = [q for q in range(m) if q not in fire]
-        layouts[key] = sel, (0,) + tuple(1 + i for i in _wires_first(targets, free))
+        layouts[key] = sel, _wires_first(targets, free) + (len(free),)
     return layouts[key]
 
 
@@ -185,8 +197,8 @@ def _block_op(block: Sequence[Gate], m: int, layouts: dict) -> _ControlledMatrix
     never flips, becomes a control.  `layouts` is compile_circuit's memo."""
     wires = sorted({w for g in block for w in g.wires})
     k = len(wires)
-    rows = np.eye(1 << k, dtype=complex)  # row j: basis state j, then its image
-    psi, local = rows.reshape((-1,) + (2,) * k), dict(zip(wires, range(k)))
+    cols = np.eye(1 << k, dtype=complex)  # column j: basis state j, then its image
+    psi, local = cols.reshape((2,) * k + (-1,)), dict(zip(wires, range(k)))
     at = lambda qs: tuple(local[q] for q in qs)
     for g in block:
         if g.kind == "GraphProjX":
@@ -194,7 +206,7 @@ def _block_op(block: Sequence[Gate], m: int, layouts: dict) -> _ControlledMatrix
         else:
             mat, fire, targets = _parts(g, at)
             _product(psi, *_layout(fire, targets, k, layouts), mat)
-    mat, targets, fire = rows.T, wires, {}
+    mat, targets, fire = cols, wires, {}
     off = mat != np.eye(len(mat))  # where the matrix leaves the identity
     for w in wires:
         if len(targets) > 1:

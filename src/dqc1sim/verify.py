@@ -90,12 +90,12 @@ def check_gate_unitarity() -> CheckResult:
 
 def _run(gates: Sequence[Gate], m: int, states: np.ndarray) -> np.ndarray:
     """The gates compiled once by compile_circuit and run on a copy of each
-    row of `states`, a (B, 2^m) batch that is itself left as it is."""
-    out = np.array(states, dtype=complex, order="C")
-    psi = out.reshape((len(out),) + (2,) * m)
+    row of `states`, a (B, 2^m) batch left as it is, as C-contiguous rows."""
+    out = np.array(states.T, dtype=complex, order="C")  # one state per column
+    psi = out.reshape((2,) * m + (-1,))
     for op in compile_circuit(gates, m):
         op(psi)
-    return out
+    return np.ascontiguousarray(out.T)
 
 
 def check_kernel_matches_matrix() -> CheckResult:

@@ -92,8 +92,8 @@ def _fold_cases(draw):
 @example((4, (2, 0, 3, 1), np.linspace(-1.0, 1.0, 32).reshape(2, 16)))  # every qubit, shuffled
 @example((2, (0,), np.array([[0.1, 0.2, 0.3, -0.0], [-0.0, -0.0, 1e-300, -1e-300]])))
 def test_fold_is_a_running_total_from_zero(case):
-    m, qubits, p = case
-    assert fold(p, m, qubits).tobytes() == _running_totals(p, m, qubits).tobytes()
+    m, qubits, p = case  # one row per run; fold takes them as columns
+    assert fold(p.T, m, qubits).tobytes() == _running_totals(p, m, qubits).tobytes()
 
 
 def test_fold_peak_memory_of_a_wide_row():

@@ -477,10 +477,10 @@ def test_auto_is_the_mixture_route_and_matches_the_oracle(m, postselect):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("m", range(2, 12))
 def test_blocks_match_one_basis_state_per_block(m, seed, monkeypatch):
-    # Small states matter most: there numpy picks its product loop by the
-    # strides of each reshaped view, which a batch must not change.
+    # Small states matter most: there a state of fewer than 4 columns runs
+    # alone, with a lone state's strides; larger ones share each product.
     dc = _route_circuit(200 + 10 * seed + m, m, clean=1)
     rows = 3  # from m = 3 on: several blocks, the last one partial
     assert (1 << len(dc.mixed_qubits)) % rows != 0
@@ -491,12 +491,12 @@ def test_blocks_match_one_basis_state_per_block(m, seed, monkeypatch):
     assert blocked == lone
 
 
-def _every_op_run(dc, ops, starts):
+def _every_op_run(dc, ops, starts, buf):
     """_mixture_outcome_weights with the first op run on the basis batch
     like every other op, instead of written as matrix columns."""
     m = dc.total_qubits
-    amps = (starts[:, None] == np.arange(1 << m)).astype(complex)
-    psi = amps.reshape((len(starts),) + (2,) * m)
+    amps = (np.arange(1 << m)[:, None] == starts).astype(complex)  # one start per column
+    psi = amps.reshape((2,) * m + (len(starts),))
     for op in ops:
         op(psi)
     return fold(np.abs(amps) ** 2, m, dc.measured)
@@ -677,7 +677,7 @@ def _pure_run_count(monkeypatch):
     monkeypatch.setattr(
         dqc1sim.engine,
         "_mixture_outcome_weights",
-        lambda dc, ops, starts: rows.append(len(starts)) or run(dc, ops, starts),
+        lambda dc, ops, starts, buf: rows.append(len(starts)) or run(dc, ops, starts, buf),
     )
     return rows
 
