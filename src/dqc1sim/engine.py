@@ -57,11 +57,10 @@ from .circuits import Dqc1Circuit, Gate, _dense_dim, gate_matrix
 from .config import EXACT_CAP, HERMITICITY_TOL, SHOTS_CAP, TRACE_TOL
 from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
-from .qstate import _ControlledMatrix, compile_circuit
+from .qstate import _ControlledMatrix, _product, compile_circuit
 
-# Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis
-# states.  Larger blocks raise the sampler's peak memory, not its speed.
-# One call's blocks share two buffers; fresh ones faulted exact at m = 12 from 0.19 to 0.35 s.
+# Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis states, in two
+# buffers one call shares (fresh ones page-fault).  Larger blocks raise peak memory, not speed.
 BLOCK_AMPLITUDES = 1 << 14
 
 # Shots per chunk of a sampling run (512 KiB of uniforms).  At 2^14 a trace
@@ -116,9 +115,11 @@ def _check_density(rho: np.ndarray) -> None:
 
 
 def _apply_gate_kernel(op, psi: np.ndarray, out: np.ndarray) -> None:
-    """Run one compiled op in place, its product in `out`.  Kept as a named
-    step so that a tracer can count and time the engine's kernel calls."""
-    op(psi, out)
+    """Run one compiled op in place, a controlled matrix via the buffer `out`.
+    Kept as a named step so that a tracer can count and time kernel calls."""
+    if isinstance(op, _ControlledMatrix):
+        return _product(psi, op.sel, op.fwd, op.mat, out)
+    op(psi)
 
 
 def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray, buf) -> np.ndarray:

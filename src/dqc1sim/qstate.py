@@ -14,8 +14,7 @@ half of each state (in a trace circuit that holds for the gates that unfold
 a graph projector too).
 A lone or wider gate keeps its own op: a controlled matrix (CZ is Z on its
 second qubit under the first, CNOT and MCX are X under controls) or, for
-GraphProjX, a projector flip.  A matrix is one product over the batch, a
-flip goes state by state, and each state keeps a lone run's bytes (see
+GraphProjX, a projector flip.  Each state keeps a lone run's bytes (see
 _product).  A controlled matrix applied to a basis state returns the column
 of its matrix exactly, so the engine writes a run's first op as those
 columns and its first block gives the same bytes as its gates one by one.
@@ -61,26 +60,27 @@ class _ControlledMatrix:
     fire: dict
     targets: tuple[int, ...]
 
-    def __call__(self, psi: np.ndarray, out=None) -> None:
-        _product(psi, self.sel, self.fwd, self.mat, out)
+    def __call__(self, psi: np.ndarray) -> None:
+        _product(psi, self.sel, self.fwd, self.mat)
 
 
 def _product(psi: np.ndarray, sel: tuple, fwd: tuple, mat: np.ndarray, out=None) -> None:
-    """`mat` on the target axes of psi[sel].transpose(fwd), in place, as one
-    product over the batch, into `out` (flat, psi.size at least) if given.
-    OpenBLAS (SkylakeX, Prescott; Haswell only on small products) rounds a
-    column alike at any place among any multiple of 4 columns, so a state
-    of 4 or more keeps a lone run's bytes; a batch whose states have fewer,
-    a lone run's 1-3 column tail, runs each alone on a copy laid out so."""
+    """`mat` on the target axes of psi[sel].transpose(fwd), in place, via `out`
+    (flat, psi.size at least) if given.  OpenBLAS (SkylakeX, Haswell, Prescott)
+    rounds a column alike anywhere among 4k columns in a product of at most 128
+    columns and 2^15 multiply-adds, so a state of 4 or more columns keeps its
+    lone run's bytes in such products; a state of fewer runs alone, as a row."""
     view, states = psi[sel].transpose(fwd), psi.shape[-1]
-    if states > 1 and view.size < 4 * len(mat) * states:
-        for s in range(states):
-            state = np.ascontiguousarray(psi[..., s, None])
-            _product(state, sel, fwd, mat)
-            psi[..., s, None] = state
-    else:
-        prod = None if out is None else out[: view.size].reshape(len(mat), -1)
-        view[...] = np.matmul(mat, view.reshape(len(mat), -1), out=prod).reshape(view.shape)
+    if view.size < 4 * len(mat) * states:
+        rows = np.moveaxis(psi, -1, 0).copy()  # a C-contiguous state per row
+        view = rows[(slice(None),) + sel[:-1]].transpose((0,) + tuple(1 + a for a in fwd[:-1]))
+        view[...] = (mat @ view.reshape(states, len(mat), -1)).reshape(view.shape)
+        psi[...] = np.moveaxis(rows, 0, -1)
+        return
+    step = min(128, max(4, (1 << 15) // len(mat) ** 2), (view.size & -view.size) // len(mat))
+    prod = (np.empty(view.size, complex) if out is None else out[: view.size]).reshape(len(mat), -1, step)
+    np.matmul(mat, view.reshape(prod.shape).swapaxes(0, 1), out=prod.swapaxes(0, 1))  # a product a chunk
+    view[...] = prod.reshape(view.shape)
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,20 @@ class _GraphFlip:
     """Direct projector action of GraphProjX: split off the component along
     `vec` on the leading axes of state.transpose(fwd) and exchange it
     between the 0 and 1 branches of the next axis, the target.  State by
-    state, each on a copy laid out as if alone, since tensordot's rounding
-    depends on how many columns it gets and on their strides (`out` unused)."""
+    state on C-contiguous copies: tensordot rounds by column count and strides."""
 
     fwd: tuple[int, ...]
     vec: np.ndarray
 
-    def __call__(self, psi: np.ndarray, out=None) -> None:
-        for s in range(psi.shape[-1]):
-            state = np.ascontiguousarray(psi[..., s])
+    def __call__(self, psi: np.ndarray) -> None:
+        rows = np.moveaxis(psi, -1, 0).copy()  # a C-contiguous state per row
+        for state in rows:
             view = state.transpose(self.fwd)
             block = view.reshape(len(self.vec), 2, -1)
             overlap = np.tensordot(self.vec.conj(), block, axes=(0, 0))  # shape (2, rest)
             proj = self.vec[:, None, None] * overlap[None, :, :]
             view[...] = (block - proj + proj[:, ::-1, :]).reshape(view.shape)
-            psi[..., s] = state
+        psi[...] = np.moveaxis(rows, 0, -1)
 
 
 def _wires_first(wires: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
