@@ -7,12 +7,13 @@ is the dense oracle, and sample draws shots.  The mixture route averages
 pure runs over the mixed-register basis states, each run through the
 circuit compiled once into ops, one per fused block of at most
 qstate.FUSE_WIRES wires, a block of BLOCK_AMPLITUDES amplitudes (a start
-per column) per pass of the ops.  A first controlled matrix is not run but
-written: a start it fires on takes the matrix column of its target bits,
-the bytes the op gives a basis state.  The oracle, full density-matrix
-conjugation (capped), is kept only to check the mixture route and calls
-nothing in qstate; both fold their probabilities onto the measured
-qubits with the one bits.fold.
+per column) per pass of the ops.  A wire on which a block's starts agree
+keeps their bit until an op targets it, so each op runs on the block's
+forward light cone (see _plan): it is skipped where it fires on zeros
+alone, else run on the slice where such wires read the block's bits.
+The oracle, full density-matrix conjugation (capped), is kept only to
+check the mixture route and calls nothing in qstate; both fold their
+probabilities onto the measured qubits with the one bits.fold.
 
 The mixture route first cuts the circuit: a gate runs only once one of its
 wires has met a wire already reached from a clean wire, since every earlier
@@ -30,24 +31,26 @@ Sampling is per shot: draw a mixed-register basis state, run it pure
 through every gate (no cut, no filter: each shot is tied to its draw),
 then draw the outcome, all from a counter-based random stream so a (seed,
 shot index) pair always yields the same shot.  The shots are drawn
-SHOT_CHUNK at a time from one stream, which goes on across chunks.  A
-start runs once, in blocks, when a chunk first draws it, and its cdf row
-stays in a table indexed by draw; each shot takes the index searchsorted
-gives in its row, by a branch-free binary search over the chunk.  Where
-that table would outweigh all the shots grouped by draw (32 bytes a
-shot), they are grouped instead, with one bincount and one stable argsort
-of the draws narrowed to the smallest unsigned type, which numpy sorts by
-radix up to 16 bits, and each group takes one searchsorted over its slice
-of the uniforms sorted by draw.  Callers that only count the shots add one
-bincount per chunk.  Postselected shots are drawn from the conditional
-distribution of the free measured qubits, and the forced bits are set on
-every draw.  Every pure-state route is capped at EXACT_CAP qubits and
-sampling at SHOTS_CAP shots, checked before anything is allocated.
+SHOT_CHUNK at a time from one stream, which goes on across chunks.  A start
+runs once, in blocks that differ on the wires ops target first (see
+_draw_rank), when a chunk first draws it, and its cdf row stays in a table
+indexed by draw; each shot takes the index searchsorted gives in its row,
+by a branch-free binary search over the chunk.  Where that table would
+outweigh all the shots grouped by draw (32 bytes a shot), they are grouped
+instead, with one bincount and one stable argsort of the draws narrowed to
+the smallest unsigned type, which numpy sorts by radix up to 16 bits, and
+each group takes one searchsorted over its slice of the uniforms sorted by
+draw.  Callers that only count the shots add one bincount per chunk.
+Postselected shots are drawn from the conditional distribution of the free
+measured qubits, and the forced bits are set on every draw.  Every
+pure-state route is capped at EXACT_CAP qubits and sampling at SHOTS_CAP
+shots, checked before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -57,7 +60,7 @@ from .circuits import Dqc1Circuit, Gate, _dense_dim, gate_matrix
 from .config import EXACT_CAP, HERMITICITY_TOL, SHOTS_CAP, TRACE_TOL
 from .distributions import OutcomeDistribution, selector
 from .errors import ContractError, ResourceError
-from .qstate import _ControlledMatrix, _product, compile_circuit
+from .qstate import _ControlledMatrix, _product, _wires_first, compile_circuit
 
 # Amplitudes per block of pure runs (256 KiB): max(1, 2^14 >> m) basis states, in two
 # buffers one call shares (fresh ones page-fault).  Larger blocks raise peak memory, not speed.
@@ -114,35 +117,67 @@ def _check_density(rho: np.ndarray) -> None:
         raise ContractError(f"trace {tr} is off unity beyond {TRACE_TOL:.1e}")
 
 
-def _apply_gate_kernel(op, psi: np.ndarray, out: np.ndarray) -> None:
-    """Run one compiled op in place, a controlled matrix via the buffer `out`.
-    Kept as a named step so that a tracer can count and time kernel calls."""
+def _apply_gate_kernel(op, psi: np.ndarray, out: np.ndarray, sel: tuple | None, fwd: tuple | None) -> None:
+    """Run one compiled op in place, a controlled matrix on psi[sel] via the
+    buffer `out`.  Kept as a named step so that a tracer can count and time
+    kernel calls."""
     if isinstance(op, _ControlledMatrix):
-        return _product(psi, op.sel, op.fwd, op.mat, out)
+        return _product(psi, sel, fwd, op.mat, out)
     op(psi)
 
 
-def _mixture_outcome_weights(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray, buf) -> np.ndarray:
-    """Outcome weights of pure runs of the compiled ops, one row per basis
-    state in `starts`, each run in a column of buf[0], bit-identical to a
-    run alone; buf[1] takes the products.  A first controlled matrix is not
-    run: a start it fires on takes the matrix column of its target bits,
-    what the op makes of a basis state; any other start keeps its own."""
+def _mixture_outcome_weights(dc: Dqc1Circuit, plan: Sequence, starts: np.ndarray, buf) -> np.ndarray:
+    """Outcome weights of pure runs of the planned ops (see _plan), one row
+    per basis state in `starts`, each run in a column of buf[0], bit-identical
+    to a run alone; buf[1] takes the products."""
     m = dc.total_qubits
     amps = buf[0, : len(starts) << m].reshape(1 << m, -1)
     amps[...] = 0.0
     amps[starts, np.arange(len(starts))] = 1.0  # column c: basis state starts[c]
-    if ops and isinstance(ops[0], _ControlledMatrix):
-        first, ops = ops[0], ops[1:]
-        on = np.flatnonzero(_reading(starts, first.fire, m))
-        spread = scatter_bits(np.arange(len(first.mat)), first.targets, m)
-        own = starts[on, None] & spread[-1]  # each firing start's target bits
-        at = (starts[on, None] ^ own) | spread
-        amps[at, on[:, None]] = first.mat.T[(own == spread).argmax(1)]
     psi = amps.reshape((2,) * m + (len(starts),))
-    for op in ops:
-        _apply_gate_kernel(op, psi, buf[1])
+    head = int(starts[0])
+    # The block's bit on each wire, then a whole axis and the firing bits 0, 1: what pick selects from.
+    bits = [head >> (m - 1 - q) & 1 for q in range(m)] + [slice(None), 0, 1]
+    for op, need, want, pick, fwd in plan:
+        if head & need == want:
+            _apply_gate_kernel(op, psi, buf[1], pick and pick(bits), fwd)
     return fold(np.abs(amps) ** 2, m, dc.measured)
+
+
+def _plan(ops: Sequence, spread: int, m: int) -> list[tuple]:
+    """How each op runs on a block whose starts share their bit on every wire
+    not in `spread`, as (op, need, want, pick, fwd).  Such a wire is classical,
+    holding that bit in every run, until an op targets it (a projector flip
+    targets all).  Where the block reads other bits than `want` on `need`, the
+    op's firing bits on classical wires, it fires on zeros alone and is skipped;
+    else pick(bits) is its sel with classical free non-target wires fixed to the
+    block's bits, all but 2 at most, so each state keeps 4 columns or more and
+    its lone run's bytes (see qstate._product)."""
+    classical = {q for q in range(m) if not spread >> (m - 1 - q) & 1}
+    plan = []
+    for op in ops:
+        if not isinstance(op, _ControlledMatrix):
+            plan.append((op, 0, 0, None, None))
+            classical.clear()
+            continue
+        fire, targets = op.fire, op.targets
+        spare = m - len(fire) - len(targets) - 2  # free non-target wires that may be fixed
+        at, free, need, want = [], [], 0, 0
+        for q in range(m):
+            if q in fire:
+                at.append(m + 1 + fire[q])
+                if q in classical:
+                    need |= 1 << (m - 1 - q)
+                    want |= fire[q] << (m - 1 - q)
+            elif spare > 0 and q in classical and q not in targets:
+                at.append(q)
+                spare -= 1
+            else:
+                at.append(m)
+                free.append(q)
+        plan.append((op, need, want, itemgetter(*at, m), _wires_first(targets, free) + (len(free),)))
+        classical.difference_update(targets)
+    return plan
 
 
 # Gates that map every basis state to one basis state: a bit flip of
@@ -201,11 +236,18 @@ def _passing(
 
 def _weight_rows(dc: Dqc1Circuit, ops: Sequence, starts: np.ndarray) -> Iterator[np.ndarray]:
     """Outcome weights of pure runs of the compiled ops, one row per start,
-    yielded a block of BLOCK_AMPLITUDES amplitudes at a time."""
-    rows = max(1, BLOCK_AMPLITUDES >> dc.total_qubits)
-    buf = np.empty((2, min(rows, len(starts)) << dc.total_qubits), dtype=complex)
-    for i in range(0, len(starts), rows):
-        yield _mixture_outcome_weights(dc, ops, starts[i : i + rows], buf)
+    yielded a block of BLOCK_AMPLITUDES amplitudes at a time, each block on
+    the plan of the wires its starts differ on, made once per such set."""
+    m = dc.total_qubits
+    rows = max(1, BLOCK_AMPLITUDES >> m)
+    buf = np.empty((2, min(rows, len(starts)) << m), dtype=complex)
+    firsts = np.arange(0, len(starts), rows)
+    spreads = np.bitwise_or.reduceat(starts ^ np.repeat(starts[firsts], rows)[: len(starts)], firsts)
+    plans: dict = {}
+    for i, spread in zip(firsts.tolist(), spreads.tolist()):
+        if spread not in plans:
+            plans[spread] = _plan(ops, spread, m)
+        yield _mixture_outcome_weights(dc, plans[spread], starts[i : i + rows], buf)
 
 
 def _summed_weights(dc: Dqc1Circuit, gates: Sequence[Gate], starts: np.ndarray) -> np.ndarray:
@@ -339,6 +381,19 @@ def _grouped_outcomes(
     return outcomes
 
 
+def _draw_rank(ops: Sequence, mixed: Sequence[int]) -> list[int]:
+    """Where each mixed wire's bit goes in a draw's sort key, first one the
+    most significant: the later an op first targets a wire (a projector flip
+    targets them all), the higher its bit, so a block of draws in key order
+    differs on the wires targeted first and keeps the rest classical longer."""
+    first: dict[int, int] = {}
+    for i, op in enumerate(ops):
+        for q in getattr(op, "targets", mixed):
+            first.setdefault(q, i)
+    order = sorted(range(len(mixed)), key=lambda j: -first.get(mixed[j], len(ops)))
+    return np.argsort(order).tolist()
+
+
 def _shot_chunks(dc: Dqc1Circuit, shots: int, seed: int) -> Iterator[np.ndarray]:
     """The outcomes of shots 0, 1, ... in order, SHOT_CHUNK shots at a time.
     Each drawn start runs once, when first drawn, and its cdf row stays in a
@@ -372,6 +427,7 @@ def _shot_chunks(dc: Dqc1Circuit, shots: int, seed: int) -> Iterator[np.ndarray]
     if rows << k > 4 * shots:
         yield _grouped_outcomes(dc, ops, gen, shots)
         return
+    rank = _draw_rank(ops, dc.mixed_qubits)
     table = np.empty((rows, 1 << k))
     offsets = np.full(size, -1)  # where each draw's row starts in the flat table
     filled = 0
@@ -380,6 +436,7 @@ def _shot_chunks(dc: Dqc1Circuit, shots: int, seed: int) -> Iterator[np.ndarray]
         fresh = np.zeros(size, dtype=bool)
         fresh[draws] = True
         fresh = np.flatnonzero(fresh & (offsets < 0))
+        fresh = fresh[np.argsort(scatter_bits(fresh, rank, len(rank)))]
         if len(fresh):
             offsets[fresh] = np.arange(filled, filled + len(fresh)) << k
             starts = scatter_bits(fresh, dc.mixed_qubits, m)

@@ -15,11 +15,10 @@ a graph projector too).
 A lone or wider gate keeps its own op: a controlled matrix (CZ is Z on its
 second qubit under the first, CNOT and MCX are X under controls) or, for
 GraphProjX, a projector flip.  Each state keeps a lone run's bytes (see
-_product).  A controlled matrix applied to a basis state returns the column
-of its matrix exactly, so the engine writes a run's first op as those
-columns and its first block gives the same bytes as its gates one by one.
-States are plain complex arrays, and this module holds the ops only: the
-engine folds each run's probabilities onto the outcomes with bits.fold.
+_product), also where the engine runs a controlled matrix on a slice that
+fixes more axes than its controls.  States are plain complex arrays, and
+this module holds the ops only: the engine folds each run's probabilities
+onto the outcomes with bits.fold.
 The engine's density route conjugates by the dense oracle's full gate
 matrices instead and calls nothing here, and this module imports none of
 them, so the two routes stay independent and can check each other.

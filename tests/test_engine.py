@@ -493,21 +493,22 @@ def test_blocks_match_one_basis_state_per_block(m, seed, monkeypatch):
     assert blocked == lone
 
 
-def _every_op_run(dc, ops, starts, buf):
-    """_mixture_outcome_weights with the first op run on the basis batch
-    like every other op, instead of written as matrix columns."""
+def _every_op_run(dc, plan, starts, buf):
+    """_mixture_outcome_weights with every planned op run whole, on every
+    start: none skipped, none on a slice."""
     m = dc.total_qubits
     amps = (np.arange(1 << m)[:, None] == starts).astype(complex)  # one start per column
     psi = amps.reshape((2,) * m + (len(starts),))
-    for op in ops:
+    for op, *_ in plan:
         op(psi)
     return fold(np.abs(amps) ** 2, m, dc.measured)
 
 
-def _first_op_circuit(kind, seed):
+def _sliced_circuit(kind, seed):
     """A 6-qubit circuit whose first op, on both the sampled and the cut
     route, is of the given kind, with starts that fire it and starts that
-    do not; the clean wire is the head's first target."""
+    do not; the clean wire is the head's first target.  In "control", the
+    mixed wire w[0] is only ever a control, of an MCX and of a CU."""
     rng = np.random.default_rng(seed)
     w = [int(q) for q in rng.permutation(6)]
     tail = list(random_circuit(rng, 6, 8).gates)
@@ -527,6 +528,11 @@ def _first_op_circuit(kind, seed):
         # Five wires too: the first op stays a projector flip.
         graph = GraphSpec(3, ((0, 1), (1, 2)))
         gates, clean = [graph_proj_x(graph, w[:3], w[3], w[4])] + tail, w[3]
+    elif kind == "control":
+        polarities = tuple(int(b) for b in rng.integers(0, 2, size=4))
+        body = [g.remapped(lambda q: w[1 + q]) for g in random_circuit(rng, 5, 8).gates]
+        head = [h(w[1]), mcx(w[:4], polarities, w[5]), cu(random_unitary(rng, 2), (w[1],), (w[0],))]
+        gates, clean = head + body, w[1]
     else:
         gates, clean = tail, w[0]
     measured = tuple(sorted({clean, w[5], w[2]}))
@@ -549,21 +555,13 @@ def _route_bytes(dc, bit):
     return exact_distribution(dc).pmf.tobytes(), cond, shots, baked_shots
 
 
-@settings(max_examples=40)
-@given(
-    kind=st.sampled_from(["peeled", "mcx0", "graph", "random"]),
-    seed=st.integers(0, 2**32 - 1),
-    rows=st.sampled_from([1, 3, 32]),
-    bit=st.integers(0, 1),
-)
-# Without the controlled H head, this circuit opens with controlled Sdg
-# then Tdg on wire 1 under control 4, a symmetric phase, and the block
-# peeled wire 1 instead of the control.
-@example(kind="peeled", seed=39647, rows=1, bit=0)
-def test_first_op_written_as_columns_keeps_every_byte(kind, seed, rows, bit):
+SLICED_KINDS = ("peeled", "mcx0", "graph", "control", "random")
+
+
+def _sliced_runs_keep_every_byte(kind, seed, rows, bit):
     # rows starts per block: one, a partial last block of 32 mixed starts,
     # or all of them in one.
-    dc = _first_op_circuit(kind, seed)
+    dc = _sliced_circuit(kind, seed)
     engine = dqc1sim.engine
     first = [compile_circuit(gates, 6)[0] for gates in (dc.gates, _cut(dc)) if gates]
     if kind == "peeled":
@@ -573,12 +571,64 @@ def test_first_op_written_as_columns_keeps_every_byte(kind, seed, rows, bit):
         assert all(op.fire == dict.fromkeys(dc.gates[0].controls, 0) for op in first)
     elif kind == "graph":
         assert all(type(op).__name__ == "_GraphFlip" for op in first)
+    elif kind == "control":
+        lone = dc.gates[1]  # the MCX, a lone op with w[0] among its controls
+        ops = [compile_circuit(gates, 6) for gates in (dc.gates, _cut(dc))]
+        assert all(o[1].fire == dict(zip(lone.controls, lone.polarities)) for o in ops)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "BLOCK_AMPLITUDES", rows << 6)
-        written = _route_bytes(dc, bit)
+        sliced = _route_bytes(dc, bit)
         mp.setattr(engine, "_mixture_outcome_weights", _every_op_run)
-        run = _route_bytes(dc, bit)
-    assert written == run
+        whole = _route_bytes(dc, bit)
+    assert sliced == whole
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(SLICED_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([1, 3, 32]),
+    bit=st.integers(0, 1),
+)
+# Without the controlled H head, this circuit opens with controlled Sdg
+# then Tdg on wire 1 under control 4, a symmetric phase, and the block
+# peeled wire 1 instead of the control.
+@example(kind="peeled", seed=39647, rows=1, bit=0)
+# Slices that leave a state fewer than 4 columns round this one otherwise.
+@example(kind="peeled", seed=5, rows=1, bit=0)
+def test_sliced_runs_keep_every_byte(kind, seed, rows, bit):
+    _sliced_runs_keep_every_byte(kind, seed, rows, bit)
+
+
+def test_an_op_runs_only_for_the_starts_that_fire_it(monkeypatch):
+    # One start per block, so every wire stays classical until an op
+    # targets it: H on the clean wire runs for every start, the lone MCX
+    # for those that read its polarities on wires 1 to 4, and the CU for
+    # those that read 1 on wire 5.
+    u = random_unitary(np.random.default_rng(3), 2)
+    gates = (h(0), mcx((1, 2, 3, 4), (0, 1, 1, 0), 0), cu(u, (0,), (5,)))
+    dc = Dqc1Circuit(Circuit(6, gates), (0,), (0,))
+    engine = dqc1sim.engine
+    run, kernel = engine._mixture_outcome_weights, engine._apply_gate_kernel
+    ran, block = [], []
+
+    def each_block(dc, plan, starts, buf):
+        block[:] = [[id(entry[0]) for entry in plan], int(starts[0])]
+        return run(dc, plan, starts, buf)
+
+    def each_op(op, *args):
+        ops, start = block
+        ran.append((ops.index(id(op)), start))
+        return kernel(op, *args)
+
+    monkeypatch.setattr(engine, "BLOCK_AMPLITUDES", 1 << 6)
+    monkeypatch.setattr(engine, "_mixture_outcome_weights", each_block)
+    monkeypatch.setattr(engine, "_apply_gate_kernel", each_op)
+    exact_distribution(dc)
+    starts = _starts(dc).tolist()
+    fires = ([True] * 32, [s >> 1 & 0b1111 == 0b0110 for s in starts], [s & 1 == 1 for s in starts])
+    assert sorted(ran) == [(i, s) for i, f in enumerate(fires) for s, on in zip(starts, f) if on]
+    assert len(ran) == 32 + 2 + 16
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +729,7 @@ def _pure_run_count(monkeypatch):
     monkeypatch.setattr(
         dqc1sim.engine,
         "_mixture_outcome_weights",
-        lambda dc, ops, starts, buf: rows.append(len(starts)) or run(dc, ops, starts, buf),
+        lambda dc, plan, starts, buf: rows.append(len(starts)) or run(dc, plan, starts, buf),
     )
     return rows
 

@@ -285,13 +285,17 @@ for columns, states in itertools.product(t._COLUMNS, t._STATES):
     t.test_batched_product_keeps_each_lone_run(columns, states)
 for states in t._STATES:
     t.test_graph_flip_keeps_each_lone_run(states)
+import test_engine as e
+for kind, seed, rows, bit in itertools.product(e.SLICED_KINDS, range(10), (1, 3, 32), (0, 1)):
+    e._sliced_runs_keep_every_byte(kind, seed, rows, bit)
 """
 
 
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_lone_run_bytes_hold_on_other_blas_kernels(core):
-    # The two tests above rest on how OpenBLAS's kernels round, so they run
-    # again under another kernel in a child process; the variable is set in
+    # The two tests above, and the sliced runs of test_engine, rest on how
+    # OpenBLAS's kernels round, so they run again under another kernel in
+    # a child process, sliced runs on a fixed grid; the variable is set in
     # the child's environment only.  A child that cannot load the kernel
     # (another BLAS, or a CPU without its instructions) is a skip.
     here_core = _blas_core()
